@@ -10,15 +10,15 @@ install:
 test:
 	$(PYTHONPATH_SRC) python -m pytest tests/
 
-# Chaos suite: fault injection (worker kills, transient errors, delays)
-# and budget-governed execution, checked bit-identical to the seed path.
+# Chaos suite: fault injection (transient errors, delays) and
+# budget-governed execution, checked bit-identical to the seed path.
 chaos:
 	$(PYTHONPATH_SRC) python -m pytest tests/chaos -q
 
 bench:
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/ --benchmark-only
 
-# Smoke-run the A3/A4/A5/A6/A7/A8 perf benches on tiny sizes: exercises the
+# Smoke-run the A3/A4/A5/A6/A7 perf benches on tiny sizes: exercises the
 # measured paths (seed / object engine / compiled kernel / bitset kernel /
 # telemetry on+off / persistent store cold-vs-warm / compiled quantitative
 # substrate vs object channel path) and their agreement asserts without
@@ -32,8 +32,7 @@ bench-quick:
 		benchmarks/test_a3_engine.py benchmarks/test_a3_compiled.py \
 		benchmarks/test_a3_induction.py benchmarks/test_a3_budget.py \
 		benchmarks/test_a4_telemetry.py benchmarks/test_a5_bitset.py \
-		benchmarks/test_a6_persist.py benchmarks/test_a7_quantitative.py \
-		benchmarks/test_a8_serve.py -q
+		benchmarks/test_a6_persist.py benchmarks/test_a7_quantitative.py -q
 
 examples:
 	$(PYTHONPATH_SRC) python examples/quickstart.py

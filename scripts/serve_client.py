@@ -145,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     session.add_argument("--var", action="append", default=[],
                          metavar="NAME=SPEC", help="domain, e.g. x=0..3")
     session.add_argument("--prewarm", action="store_true",
-                         help="compute all singleton closures now")
+                         help="compute each program variable's entry "
+                         "closure now")
     session.set_defaults(fn=cmd_session)
 
     query = sub.add_parser("query", help="POST /v1/query", parents=[common])

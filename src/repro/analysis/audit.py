@@ -159,7 +159,7 @@ def audit_system(
     the one-step flow under-approximation (see module docstring) instead
     of failing the whole audit, and the report carries the engine's
     execution log.  ``max_workers`` fans the per-row closures out across
-    the engine's fault-tolerant process pool.
+    the engine's thread pool.
 
     >>> from repro.lang.builders import SystemBuilder
     >>> from repro.lang.expr import var

@@ -27,7 +27,7 @@ Resource governance: ``program`` accepts ``--budget-seconds`` and
 verdict is ``UNKNOWN`` (exit code 3 — distinct from flow/1, no-flow/0
 and error/2), with the partial-result snapshot printed.
 ``--execution-report`` appends the engine's execution log (expansions,
-retries, pool degradations) to any outcome (``program`` and ``taint``).
+fan-out degradations) to any outcome (``program`` and ``taint``).
 
 Observability: ``--trace FILE`` (``program`` and ``taint``) enables the
 telemetry collector for the run and writes a Chrome ``chrome://tracing``
@@ -700,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_program.add_argument(
         "--execution-report",
         action="store_true",
-        help="print the engine's execution log (expansions, retries, "
+        help="print the engine's execution log (expansions, "
         "degradations) after the verdict",
     )
     p_program.add_argument(

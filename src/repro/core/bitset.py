@@ -116,9 +116,6 @@ class PackedParents(Mapping):
     built sorted index (``argsort`` once, ``searchsorted`` per probe):
     witness reconstruction touches a handful of codes, and the full
     decode path was already O(m) in Python objects.
-
-    Picklable (the two arrays only), so worker closures cross the
-    process-pool boundary in packed form.
     """
 
     __slots__ = ("_codes", "_packed", "_np", "_order", "_sorted")
@@ -160,9 +157,6 @@ class PackedParents(Mapping):
 
     def __len__(self) -> int:
         return len(self._codes)
-
-    def __reduce__(self):
-        return (PackedParents, (self._codes, self._packed))
 
     def packed_bytes(self) -> bytes:
         """The packed predecessor values, order-aligned, as native int64

@@ -18,8 +18,8 @@ This module supplies the vocabulary:
   :class:`PartialResult` snapshot (states expanded, frontier size,
   elapsed time, verdict ``UNKNOWN``).
 - :class:`ExecutionReport` / :class:`ExecutionLog` — per-query and
-  per-engine accounting (expansions, retries, pool degradations, the
-  fallback path taken), surfaced through the CLI and the audit report.
+  per-engine accounting (expansions, fan-out degradations, the executor
+  that finished), surfaced through the CLI and the audit report.
 
 Soundness of ``UNKNOWN``: a budget can only *truncate* the exploration of
 the pair graph, i.e. under-approximate the reachable pair set.  A ``YES``
@@ -30,11 +30,6 @@ verdict an unbudgeted run would, or raises with ``UNKNOWN``; it can never
 flip a YES to a NO or vice versa.  Re-running with a larger budget
 monotonically refines ``UNKNOWN`` toward the exact verdict
 (docs/FORMALISM.md, "Budgeted execution").
-
-All of :class:`PartialResult`, :class:`ExecutionBudget` (sans token) and
-:class:`BudgetExceededError` pickle cleanly, so budgets cross the
-process-pool boundary as plain limit tuples and a worker's budget trip
-propagates back to the parent intact.
 
 Persistence posture (PR 7): budget-tripped partial results are **never
 persisted**.  A trip raises out of the hot loop *before* the engine's
@@ -67,9 +62,8 @@ class CancellationToken:
     """Cooperative cancellation: callers :meth:`cancel`, governed loops
     observe ``token.cancelled`` at their next budget check.
 
-    Thread-safe (a :class:`threading.Event` underneath).  Tokens do not
-    cross process boundaries — a process-pool fan-out under a token is
-    cancelled between tasks by the parent, not mid-task by the worker.
+    Thread-safe (a :class:`threading.Event` underneath), so one token
+    governs every closure of a thread fan-out.
     """
 
     __slots__ = ("_event",)
@@ -124,9 +118,6 @@ class BudgetExceededError(ReproError):
         self.partial = partial
         super().__init__(partial.describe())
 
-    def __reduce__(self):  # exceptions must survive the process boundary
-        return (BudgetExceededError, (self.partial,))
-
 
 @dataclass(frozen=True)
 class ExecutionBudget:
@@ -160,22 +151,6 @@ class ExecutionBudget:
         if not self.bounded:
             return None
         return BudgetMeter(self, label)
-
-    def limits(self) -> tuple[float | None, int | None, int | None]:
-        """The picklable limit tuple shipped to process-pool workers
-        (tokens stay in the parent; see :class:`CancellationToken`)."""
-        return (self.max_seconds, self.max_expanded, self.max_pairs)
-
-    @classmethod
-    def from_limits(
-        cls, limits: tuple[float | None, int | None, int | None]
-    ) -> "ExecutionBudget":
-        max_seconds, max_expanded, max_pairs = limits
-        return cls(
-            max_seconds=max_seconds,
-            max_expanded=max_expanded,
-            max_pairs=max_pairs,
-        )
 
     def scaled(self, factor: float) -> "ExecutionBudget":
         """The same budget with every numeric limit multiplied by
@@ -284,9 +259,8 @@ class ExecutionReport:
     it degraded.
 
     ``executor`` is the path that ultimately produced the result
-    (``"process"``, ``"thread"``, ``"serial"``); ``degradations`` lists
-    the ladder steps taken (e.g. ``("process->thread",)``); ``retries``
-    counts pool re-creations after worker death.  ``completed`` is False
+    (``"thread"`` or ``"serial"``); ``degradations`` lists the fallback
+    steps taken (e.g. ``("thread->serial",)``).  ``completed`` is False
     exactly when the run ended in :class:`BudgetExceededError`, in which
     case ``partial`` holds the snapshot.
     """
@@ -294,7 +268,6 @@ class ExecutionReport:
     label: str
     executor: str = "serial"
     expansions: int = 0
-    retries: int = 0
     degradations: tuple[str, ...] = ()
     elapsed: float = 0.0
     completed: bool = True
@@ -305,8 +278,6 @@ class ExecutionReport:
             f"{self.label}: {self.expansions} expansions via {self.executor}",
             f"{self.elapsed:.3f}s",
         ]
-        if self.retries:
-            bits.append(f"{self.retries} retr{'y' if self.retries == 1 else 'ies'}")
         if self.degradations:
             bits.append("degraded " + ", ".join(self.degradations))
         if not self.completed:
@@ -331,9 +302,9 @@ class ExecutionLog:
     fit, the oldest are dropped and counted (:attr:`dropped`), so a
     long-lived shared engine cannot leak memory through its own
     accounting.  Every :meth:`record` also feeds the telemetry counters
-    (``execution.reports``, ``budget.trips``, ``pool.retries``,
-    ``pool.degradations``) when :mod:`repro.obs` is enabled, which is
-    how the coarse PR-4 signal and the PR-5 trace stream stay in sync.
+    (``execution.reports``, ``budget.trips``, ``pool.degradations``)
+    when :mod:`repro.obs` is enabled, which is how the coarse PR-4
+    signal and the PR-5 trace stream stay in sync.
 
     ``describe()`` renders the audit/CLI "execution" section;
     ``summary()`` aggregates the counters.
@@ -360,8 +331,6 @@ class ExecutionLog:
         obs.gauge_max("execution.log_size", size)
         if not report.completed:
             obs.count("budget.trips")
-        if report.retries:
-            obs.count("pool.retries", report.retries)
         if report.degradations:
             obs.count("pool.degradations", len(report.degradations))
 
@@ -400,7 +369,6 @@ class ExecutionLog:
             "capacity": self.capacity,
             "dropped": dropped,
             "expansions": sum(r.expansions for r in reports),
-            "retries": sum(r.retries for r in reports),
             "degradations": tuple(degradations),
             "incomplete": sum(1 for r in reports if not r.completed),
             "elapsed": sum(r.elapsed for r in reports),
@@ -415,7 +383,7 @@ class ExecutionLog:
         s = self.summary()
         tail = (
             f"  total: {s['runs']} runs, {s['expansions']} expansions, "
-            f"{s['retries']} retries, {s['incomplete']} incomplete"
+            f"{s['incomplete']} incomplete"
         )
         if s["dropped"]:
             tail += (

@@ -36,12 +36,8 @@ down to integers:
    proved in docs/FORMALISM.md; shortest-witness lengths are preserved).
 
 The kernel (:class:`CompiledKernel`) is deliberately free of ``State``,
-``Operation`` and lambda references: it is picklable, so
-:meth:`DependencyEngine._warm <repro.core.engine.DependencyEngine._warm>`
-can ship it once per :class:`~concurrent.futures.ProcessPoolExecutor`
-worker and fan independent ``(A, phi)`` closures across cores — the hot
-loop is pure int/array work, so threads would serialize on the GIL but
-processes scale.  :class:`CompiledSystem` binds a kernel to its
+``Operation`` and lambda references — plain integer tables — and
+:class:`CompiledSystem` binds it to its
 :class:`~repro.core.system.System` so results decode back to
 ``State``/``Witness`` objects only at the API boundary.
 """
@@ -54,8 +50,8 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro import obs
-from repro.core import bitset, faults
-from repro.core.budget import BudgetMeter, ExecutionBudget
+from repro.core import bitset
+from repro.core.budget import BudgetMeter
 from repro.core.cache import LRUCache
 from repro.core.constraints import Constraint
 from repro.core.state import State, Value
@@ -89,9 +85,8 @@ _MISSING = object()
 class CompiledKernel:
     """The pure-integer tables of a finite system.
 
-    Holds no ``State``/``Operation``/lambda references, so instances
-    pickle cheaply — this is the payload shipped once per process-pool
-    worker.  All methods speak state ids and encoded pair ints only.
+    Holds no ``State``/``Operation``/lambda references.  All methods
+    speak state ids and encoded pair ints only.
     """
 
     __slots__ = ("n", "names", "sizes", "strides", "columns", "op_names", "successors")
@@ -113,20 +108,6 @@ class CompiledKernel:
         self.columns = columns
         self.op_names = op_names
         self.successors = successors
-
-    def __reduce__(self):
-        return (
-            CompiledKernel,
-            (
-                self.n,
-                self.names,
-                self.sizes,
-                self.strides,
-                self.columns,
-                self.op_names,
-                self.successors,
-            ),
-        )
 
     # -- Def 1-1 partitions ---------------------------------------------------
 
@@ -279,59 +260,40 @@ class CompiledSystem:
 
     __slots__ = ("system", "states", "kernel", "_bitset", "_lock", "_sat_ids", "_composed")
 
-    def __init__(self, system: System, kernel: CompiledKernel | None = None) -> None:
+    def __init__(self, system: System) -> None:
         self.system = system
         space = system.space
         states = tuple(space.states())
         n = len(states)
         names = space.names
         sizes = tuple(len(space.domain(name)) for name in names)
-        op_names = tuple(op.name for op in system.operations)
         self.states = states
-        if kernel is not None:
-            # Hydration path: adopt tables loaded from a persistent store
-            # (repro.core.store) without re-executing any operation.  The
-            # shape check guards against a hash collision or a caller
-            # pairing the wrong kernel with this system; the successor
-            # *contents* are trusted — they are what the content hash is
-            # computed over.
-            if (
-                kernel.n != n
-                or kernel.names != names
-                or kernel.sizes != sizes
-                or kernel.op_names != op_names
-            ):
-                raise ValueError(
-                    "stored kernel does not match this system's shape"
-                )
-            self.kernel = kernel
-        else:
-            strides_rev: list[int] = []
-            acc = 1
-            for size in reversed(sizes):
-                strides_rev.append(acc)
-                acc *= size
-            strides = tuple(reversed(strides_rev))
-            # Enumeration is the mixed-radix product, so columns are pure
-            # arithmetic in the id — no per-state value hashing.
-            columns = tuple(
-                array("L", ((i // stride) % size for i in range(n)))
-                for stride, size in zip(strides, sizes)
-            )
-            index = {state: i for i, state in enumerate(states)}
-            successors = tuple(
-                array("L", (index[op(state)] for state in states))
-                for op in system.operations
-            )
-            self.kernel = CompiledKernel(
-                n,
-                names,
-                sizes,
-                strides,
-                columns,
-                op_names,
-                successors,
-            )
+        strides_rev: list[int] = []
+        acc = 1
+        for size in reversed(sizes):
+            strides_rev.append(acc)
+            acc *= size
+        strides = tuple(reversed(strides_rev))
+        # Enumeration is the mixed-radix product, so columns are pure
+        # arithmetic in the id — no per-state value hashing.
+        columns = tuple(
+            array("L", ((i // stride) % size for i in range(n)))
+            for stride, size in zip(strides, sizes)
+        )
+        index = {state: i for i, state in enumerate(states)}
+        successors = tuple(
+            array("L", (index[op(state)] for state in states))
+            for op in system.operations
+        )
+        self.kernel = CompiledKernel(
+            n,
+            names,
+            sizes,
+            strides,
+            columns,
+            tuple(op.name for op in system.operations),
+            successors,
+        )
         self._bitset: bitset.BitsetKernel | None = None
         self._lock = threading.Lock()
         self._sat_ids = LRUCache(SAT_IDS_CAP, "kernel.sat_ids.evictions")
@@ -687,29 +649,6 @@ class CompiledClosure:
             yield self.decode_pair(pair)
 
 
-# -- process-pool plumbing ----------------------------------------------------
-#
-# The worker side of DependencyEngine._warm's process fan-out: the kernel
-# (and the per-warm sat ids / budget limits) are shipped once via the pool
-# initializer; each task is then a (task index, source column indices)
-# tuple, and the result is the raw (order, parents) integer closure,
-# decoded in the parent.  The task index feeds the fault-injection seam
-# (repro.core.faults) and labels worker-side budget trips.
-#
-# The kernel payload may also be a shared-memory handle (anything with an
-# ``attach()`` method — see repro.core.shm.KernelHandle): the worker then
-# maps the parent's table pages instead of unpickling per-process copies,
-# and parks the block in a module global so the memoryview casts stay
-# valid for the worker's lifetime.
-
-_WORKER_KERNEL: CompiledKernel | None = None
-_WORKER_SHM = None
-_WORKER_BITSET = None
-_WORKER_MODE: str = "scalar"
-_WORKER_SAT_IDS: array | None = None
-_WORKER_LIMITS: tuple[float | None, int | None, int | None] | None = None
-
-
 def _emit_kernel_stats(stats: dict[str, int]) -> None:
     """Publish one traced BFS run's counters.  ``stats`` may be partial
     when the budget tripped mid-sweep — only the keys the kernel managed
@@ -723,60 +662,3 @@ def _emit_kernel_stats(stats: dict[str, int]) -> None:
         obs.gauge_max("kernel.frontier_high_water", stats["frontier_high_water"])
     if "levels" in stats:
         obs.count("kernel.bitset.levels", stats["levels"])
-
-
-def _worker_init(
-    kernel,
-    sat_ids: array | None,
-    limits: tuple[float | None, int | None, int | None] | None = None,
-    telemetry: bool = False,
-    mode: str = "scalar",
-) -> None:
-    global _WORKER_KERNEL, _WORKER_SHM, _WORKER_BITSET, _WORKER_MODE
-    global _WORKER_SAT_IDS, _WORKER_LIMITS
-    from repro.core.signals import reset_inherited_signals
-
-    reset_inherited_signals()
-    if hasattr(kernel, "attach"):
-        _WORKER_KERNEL, _WORKER_SHM = kernel.attach()
-    else:
-        _WORKER_KERNEL = kernel
-        _WORKER_SHM = None
-    _WORKER_MODE = mode
-    _WORKER_BITSET = (
-        bitset.BitsetKernel(_WORKER_KERNEL) if mode == "bitset" else None
-    )
-    _WORKER_SAT_IDS = sat_ids
-    _WORKER_LIMITS = limits
-    if telemetry:
-        obs.enable()
-
-
-def _worker_closure(
-    task: tuple[int, tuple[int, ...]]
-) -> tuple[array, Mapping[int, int], obs.telemetry.Batch | None]:
-    """One closure in a pool worker.  The third element is the worker's
-    telemetry batch (spans + counters accumulated since the previous
-    task), shipped home for :func:`repro.obs.absorb_batch` — or ``None``
-    when telemetry is off, keeping the result stream byte-identical to
-    the untraced path."""
-    assert _WORKER_KERNEL is not None, "worker pool initializer did not run"
-    runner = (
-        _WORKER_BITSET.closure if _WORKER_BITSET is not None else _WORKER_KERNEL.closure
-    )
-    index, source_indices = task
-    faults.inject("worker", index)
-    meter = None
-    if _WORKER_LIMITS is not None:
-        budget = ExecutionBudget.from_limits(_WORKER_LIMITS)
-        meter = budget.start(f"worker closure #{index}")
-    if not obs.is_enabled():
-        order, parents = runner(source_indices, _WORKER_SAT_IDS, meter)
-        return order, parents, None
-    stats: dict[str, int] = {}
-    with obs.span("worker.closure", task=index):
-        try:
-            order, parents = runner(source_indices, _WORKER_SAT_IDS, meter, stats)
-        finally:
-            _emit_kernel_stats(stats)
-    return order, parents, obs.export_batch()

@@ -29,13 +29,11 @@ traversals n times over.
    single closure, including shortest-witness reconstruction.  Witnesses
    decode back to :class:`~repro.core.state.State` objects only at this
    API boundary.
-3. **Batched APIs with process fan-out.**  :meth:`matrix` and
-   :meth:`closure` answer whole source-family × target-grid queries.  With
-   ``max_workers`` they fan the independent per-source closures out across
-   a :class:`~concurrent.futures.ProcessPoolExecutor` — the compiled hot
-   loop is pure int/array work, which threads would serialize on the GIL —
-   shipping the picklable kernel once per worker (``executor="thread"``
-   restores the PR-1 thread pool; non-compiled engines always use it).
+3. **Batched APIs.**  :meth:`matrix` and :meth:`closure` answer whole
+   source-family × target-grid queries.  With ``max_workers`` they fan
+   the independent per-source closures out across a thread pool, which
+   overlaps where the kernel releases the GIL (NumPy bitset sweeps on
+   wide frontiers); a task that fails is finished serially.
 
 Caching semantics: an engine is bound to one immutable
 :class:`~repro.core.system.System`; operations, spaces and constraints are
@@ -57,7 +55,7 @@ import time
 import weakref
 from array import array
 from collections.abc import Iterable, Mapping
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 from repro.core import faults
@@ -67,7 +65,6 @@ from repro.core.budget import (
     ExecutionBudget,
     ExecutionLog,
     ExecutionReport,
-    PartialResult,
 )
 from repro.core.cache import LRUCache as _LRUCache
 from repro.core.compiled import (
@@ -77,11 +74,8 @@ from repro.core.compiled import (
     SAT_IDS_CAP,
     CompiledClosure,
     CompiledSystem,
-    _worker_closure,
-    _worker_init,
 )
 from repro.core.constraints import Constraint
-from repro.core.shm import KernelArena
 from repro.core.store import PersistentStore, sat_key
 from repro.core.dependency import DependencyResult, Witness
 from repro.core.errors import ConstraintError, ForeignOperationError
@@ -94,19 +88,6 @@ Pair = tuple[State, State]
 #: Distinguishes "never computed" from a memoized negative (``None``) in
 #: the set-target memo.
 _UNCOMPUTED = object()
-
-#: Failures the fault-tolerant pool treats as retryable: a worker died
-#: mid-map (``BrokenExecutor``/``EOFError``), the platform refused a pool
-#: (``OSError``), or an injected transient task error.  Budget trips are
-#: deliberately *not* here — exceeding a budget is a verdict about the
-#: query, not about the executor, and must propagate.
-_POOL_FAILURES = (BrokenExecutor, OSError, EOFError, faults.InjectedFaultError)
-
-#: Pool re-creations after a mid-map failure before degrading to threads.
-_POOL_RETRIES = 2
-#: Capped exponential backoff between pool retries (seconds).
-_RETRY_BASE_DELAY = 0.05
-_RETRY_MAX_DELAY = 1.0
 
 #: LRU caps on the fixed-history memos.  The closure memo stays unbounded
 #: (closures are few and huge — recomputing one costs a full BFS), but the
@@ -270,7 +251,7 @@ class DependencyEngine:
         self.budget = budget
         #: Per-engine :class:`~repro.core.budget.ExecutionLog`: one
         #: :class:`~repro.core.budget.ExecutionReport` per governed run
-        #: and per warm fan-out (retries, degradations, fallback path).
+        #: and per warm fan-out (degradations, executor that finished).
         self.execution_log = ExecutionLog()
         self._compiled: CompiledSystem | None = None
         self._tables: tuple[tuple[str, Mapping[State, State]], ...] | None = None
@@ -367,8 +348,7 @@ class DependencyEngine:
         the number of rows written.
 
         The normal path already persists at the memoization point, but
-        work computed before a store was attached — or closures adopted
-        from a pool that raced a store degradation — may exist only in
+        work computed before a store was attached may exist only in
         RAM.  The graceful-shutdown paths (service drain, CLI interrupt)
         call this so no completed closure is lost; writes are idempotent
         replaces, so double-persisting is safe.  Budget-tripped partials
@@ -434,17 +414,6 @@ class DependencyEngine:
             kernel_path,
             first_diff=first_diff,
         )
-
-    def hydrate_kernel(self, kernel) -> CompiledSystem:
-        """Adopt precompiled tables (``PersistentStore.load_kernel`` /
-        a shared-memory attach) as this engine's compiled system, so no
-        operation executes at warm-up.  No-op if the engine already
-        compiled; the tables are shape-checked against the system."""
-        compiled = CompiledSystem(self.system, kernel=kernel)
-        with self._lock:
-            if self._compiled is None:
-                self._compiled = compiled
-        return self._compiled
 
     def adopt_closure(
         self,
@@ -1489,35 +1458,28 @@ class DependencyEngine:
         family: list[frozenset[str]],
         constraint: Constraint | None,
         max_workers: int | None,
-        executor: str = "process",
         budget: ExecutionBudget | None = None,
     ) -> None:
         """Compute the independent per-source closures, optionally fanned
-        out across a process pool (each closure is an isolated BFS; the
+        out across a thread pool (each closure is an isolated BFS; the
         memo dict is the only shared state and is lock-protected).
 
-        The compiled hot loop is pure int/array Python, so threads
-        serialize on the GIL; ``executor="process"`` (the default) ships
-        the picklable :class:`~repro.core.compiled.CompiledKernel` once
-        per worker instead and scales with cores.  ``executor="thread"``
-        keeps the PR-1 thread pool, which is also the fallback whenever
-        the engine is not compiled or the platform cannot spawn processes.
+        Threads overlap only where the kernel releases the GIL — the
+        NumPy bitset sweeps of wide frontiers — so on small systems the
+        pool costs more than it saves, and callers opt in with
+        ``max_workers``.
 
-        **Fault tolerance.**  The fan-out is a degradation ladder::
+        **Fault tolerance.**  A thread task that fails for any reason
+        but a budget trip hands its source to the serial loop::
 
-            process pool  --(worker death, retries exhausted)-->  threads
-            threads       --(task failure)------------------->  serial
+            threads  --(task failure)-->  serial
 
-        A worker killed mid-``map`` (``BrokenProcessPool``) loses only
-        the tasks not yet yielded: completed closures are memoized as
-        they stream back, so no finished work is ever recomputed or lost.
-        Lost tasks are retried on a fresh pool with capped exponential
-        backoff (:data:`_POOL_RETRIES` pools, then degrade).  Budget
-        trips (:class:`~repro.core.budget.BudgetExceededError`) are *not*
-        retried — they are a verdict about the query, not the executor —
-        and propagate to the caller.  Every warm records an
-        :class:`~repro.core.budget.ExecutionReport` (retries,
-        degradations, final executor) on :attr:`execution_log`.
+        Completed closures are memoized as they finish, so no finished
+        work is ever recomputed or lost.  Budget trips
+        (:class:`~repro.core.budget.BudgetExceededError`) are a verdict
+        about the query, not the executor, and propagate to the caller.
+        Every warm records an :class:`~repro.core.budget.ExecutionReport`
+        (degradations, final executor) on :attr:`execution_log`.
         """
         budget = self._resolve_budget(budget)
         # Dedupe preserving order (a source family with repeats must not
@@ -1554,20 +1516,11 @@ class DependencyEngine:
         pending.sort(key=lambda a: -hotness[a])
         total = len(pending)
         started = time.perf_counter()
-        retries = 0
         degradations: list[str] = []
         path = "serial"
-        fanned = max_workers is not None and len(pending) > 1
         try:
-            with obs.span("engine.warm", pending=total, executor=executor):
-                if fanned and self._use_compiled and executor == "process":
-                    path = "process"
-                    retries, pending = self._warm_processes(
-                        pending, constraint, max_workers, budget
-                    )
-                    if pending:
-                        degradations.append("process->thread")
-                if pending and fanned:
+            with obs.span("engine.warm", pending=total):
+                if max_workers is not None and len(pending) > 1:
                     path = "thread"
                     pending = self._warm_threads(
                         pending, constraint, max_workers, budget
@@ -1575,10 +1528,9 @@ class DependencyEngine:
                     if pending:
                         degradations.append("thread->serial")
                         path = "serial"
-                if pending:
-                    for k, a in enumerate(pending):
-                        faults.inject("task", k)
-                        self._closure(a, constraint, budget)
+                for k, a in enumerate(pending):
+                    faults.inject("task", k)
+                    self._closure(a, constraint, budget)
         finally:
             with self._lock:
                 completed = all(
@@ -1589,149 +1541,11 @@ class DependencyEngine:
                     label=f"warm {total} closures "
                     f"phi={self._resolve(constraint).name}",
                     executor=path,
-                    retries=retries,
                     degradations=tuple(degradations),
                     elapsed=time.perf_counter() - started,
                     completed=completed,
                 )
             )
-
-    def _warm_processes(
-        self,
-        pending: list[frozenset[str]],
-        constraint: Constraint | None,
-        max_workers: int,
-        budget: ExecutionBudget | None = None,
-    ) -> tuple[int, list[frozenset[str]]]:
-        """Fan the pending ``(A, phi)`` closures across a process pool,
-        surviving worker death.
-
-        Workers receive the integer kernel (phi's satisfying ids and the
-        budget limits) once via the pool initializer; each task is a
-        ``(index, source column indices)`` tuple and returns the raw
-        ``(order, parents)`` integer closure, which the parent wraps and
-        memoizes **as results stream back** — a pool that breaks mid-map
-        therefore loses only unyielded tasks.  Constraints and operations
-        are lambdas and never cross the process boundary.
-
-        Returns ``(retries, remaining)``: how many fresh pools were spun
-        up after failures, and the sources still uncomputed when the
-        retry budget ran out (empty on success).  Pool-level failures are
-        *contained* here; only budget trips propagate.
-
-        The kernel's flat tables travel through a shared-memory arena
-        (:class:`~repro.core.shm.KernelArena`) when the platform allows:
-        workers attach ``memoryview`` casts over one copy of the pages
-        instead of unpickling per-process duplicates.  Arena creation
-        failing (no POSIX shm) silently falls back to the pickled kernel
-        — counted on ``pool.shm.fallbacks``.
-        """
-        phi = self._resolve(constraint)
-        compiled = self.compiled_system()
-        for sources in pending:
-            self.system.space.check_names(sources)
-        store = self._store_for()
-        store_key = self._constraint_key(constraint) if store is not None else None
-        sat_ids = compiled.sat_ids(constraint)
-        limits = budget.limits() if budget is not None and budget.bounded else None
-        mode = self._closure_mode()
-        arena: KernelArena | None = None
-        try:
-            arena = KernelArena.create(compiled.kernel)
-            obs.count("pool.shm.arenas")
-            obs.gauge_max("pool.shm.bytes", arena.size)
-            payload = arena.handle()
-        except Exception:
-            obs.count("pool.shm.fallbacks")
-            payload = compiled.kernel
-        try:
-            remaining = list(pending)
-            retries = 0
-            delay = _RETRY_BASE_DELAY
-            while remaining:
-                tasks = [
-                    (k, compiled.source_indices(a)) for k, a in enumerate(remaining)
-                ]
-                workers = min(max_workers, len(tasks))
-                # chunksize=1 (the map default) pays one IPC round-trip per
-                # closure; batch tiny tasks so each worker gets ~4 chunks.
-                chunksize = max(1, len(tasks) // (workers * 4))
-                done = 0
-                try:
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_worker_init,
-                        initargs=(payload, sat_ids, limits, obs.is_enabled(), mode),
-                    )
-                except OSError:
-                    # No usable process pool on this platform (sandboxed
-                    # semaphores, fork restrictions, ...): nothing to retry.
-                    return retries, remaining
-                kernel_path = "compiled-bitset" if mode == "bitset" else "compiled"
-                token = budget.token if budget is not None else None
-                try:
-                    for order, parents, batch in pool.map(
-                        _worker_closure, tasks, chunksize=chunksize
-                    ):
-                        obs.absorb_batch(batch)
-                        source_set = frozenset(remaining[done])
-                        closure = CompiledClosure(
-                            compiled,
-                            source_set,
-                            phi.name,
-                            order,
-                            parents,
-                            kernel_path,
-                        )
-                        with self._lock:
-                            self._closures.setdefault(
-                                (source_set, constraint), closure
-                            )
-                        if store is not None:
-                            store.save_closure(
-                                self._store_hash, store_key, closure
-                            )
-                        done += 1
-                        # Tokens do not cross the process boundary, so a
-                        # cooperative cancellation (client timeout, SIGINT)
-                        # is honoured here, between streamed results: the
-                        # closures already yielded stay memoized and the
-                        # unfinished tasks are abandoned, not awaited.
-                        if token is not None and token.cancelled:
-                            raise BudgetExceededError(
-                                PartialResult(
-                                    label=f"warm fan-out phi={phi.name}",
-                                    reason="cancelled",
-                                    expanded=done,
-                                    discovered=done,
-                                    frontier=len(remaining) - done,
-                                    elapsed=0.0,
-                                )
-                            )
-                except BudgetExceededError:
-                    # A verdict about the query (worker budget trip) or a
-                    # cooperative cancel: drop the queued tasks instead of
-                    # waiting the whole map out, then propagate.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-                except _POOL_FAILURES:
-                    # Results stream back in task order, so the first `done`
-                    # sources are memoized; only the rest need a fresh pool.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    remaining = remaining[done:]
-                    if retries >= _POOL_RETRIES:
-                        return retries, remaining
-                    retries += 1
-                    time.sleep(delay)
-                    delay = min(delay * 2, _RETRY_MAX_DELAY)
-                    continue
-                else:
-                    pool.shutdown()
-                remaining = []
-            return retries, remaining
-        finally:
-            if arena is not None:
-                arena.destroy()
 
     def _warm_threads(
         self,
@@ -1740,11 +1554,10 @@ class DependencyEngine:
         max_workers: int,
         budget: ExecutionBudget | None = None,
     ) -> list[frozenset[str]]:
-        """The thread rung of the ladder: fan closures across a thread
-        pool, returning the sources whose tasks failed (for the serial
-        rung).  Budget trips propagate; any other per-task failure is
-        contained — completed closures are already memoized by
-        :meth:`_closure`."""
+        """Fan closures across a thread pool, returning the sources whose
+        tasks failed (for the serial loop).  Budget trips propagate; any
+        other per-task failure is contained — completed closures are
+        already memoized by :meth:`_closure`."""
         # Warm the shared tables once, not per thread.
         if self._use_compiled:
             self.compiled_system()
@@ -1787,7 +1600,6 @@ class DependencyEngine:
         constraint: Constraint | None = None,
         sources: Iterable[frozenset[str]] | None = None,
         max_workers: int | None = None,
-        executor: str = "process",
         budget: ExecutionBudget | None = None,
     ) -> dict[tuple[frozenset[str], str], DependencyResult]:
         """All exact dependencies for a family of source sets (default:
@@ -1798,7 +1610,7 @@ class DependencyEngine:
         completed stay memoized, so a caller can catch, degrade, and
         still answer the finished rows for free."""
         family = self._source_family(sources)
-        self._warm(family, constraint, max_workers, executor, budget)
+        self._warm(family, constraint, max_workers, budget)
         out: dict[tuple[frozenset[str], str], DependencyResult] = {}
         for source in family:
             for target in self.system.space.names:
@@ -1811,18 +1623,13 @@ class DependencyEngine:
         self,
         constraint: Constraint | None = None,
         max_workers: int | None = None,
-        executor: str = "process",
         budget: ExecutionBudget | None = None,
     ) -> dict[str, dict[str, bool]]:
         """``matrix[x][y]`` iff ``x |>_phi y`` over some history (exact),
         one BFS per row."""
         names = self.system.space.names
         self._warm(
-            [frozenset([n]) for n in names],
-            constraint,
-            max_workers,
-            executor,
-            budget,
+            [frozenset([n]) for n in names], constraint, max_workers, budget
         )
         return {
             x: {
@@ -1853,7 +1660,6 @@ class DependencyEngine:
         self,
         k: int,
         max_workers: int | None = None,
-        executor: str = "process",
         budget: ExecutionBudget | None = None,
     ) -> int:
         """Compute the closures for the ``k`` hottest ``(A, phi)`` pairs
@@ -1863,7 +1669,7 @@ class DependencyEngine:
         recovery path after governed runs: lift (or keep) the budget and
         re-run exactly the demand-ranked misses.  Returns the number of
         closures that were actually pending.  Keys are grouped per
-        constraint (a warm fan-out ships one ``sat(phi)`` to the pool).
+        constraint, one warm fan-out each.
         """
         with self._lock:
             missing = [
@@ -1879,7 +1685,7 @@ class DependencyEngine:
         obs.count("engine.prewarm.runs")
         obs.count("engine.prewarm.closures", len(missing))
         for constraint, family in by_constraint.items():
-            self._warm(family, constraint, max_workers, executor, budget)
+            self._warm(family, constraint, max_workers, budget)
         return len(missing)
 
     # -- single-step flows ----------------------------------------------------

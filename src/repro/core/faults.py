@@ -1,7 +1,7 @@
 """Fault injection for the execution layer (chaos testing).
 
-The fault-tolerant pool in :mod:`repro.core.engine` is only trustworthy
-if worker death, task delays and transient task errors are *rehearsed*.
+The engine's thread fan-out and the service's request path are only
+trustworthy if task delays and transient task errors are *rehearsed*.
 This module is the single seam the execution layer passes through:
 :func:`inject` is called at each instrumented point with the point name
 and the task index, and either returns silently (the overwhelmingly
@@ -13,33 +13,27 @@ Faults are configured two ways:
 - **Monkeypatching** (unit tests): replace :func:`inject` or install a
   :class:`FaultPlan` via :func:`set_plan` / the :func:`active_plan`
   context manager.
-- **Environment** (cross-process, CI chaos job): ``REPRO_FAULTS`` holds a
-  comma-separated spec list, e.g.::
+- **Environment** (a live server, cross-process runs): ``REPRO_FAULTS``
+  holds a comma-separated spec list, e.g.::
 
-      REPRO_FAULTS="kill:worker:2,delay:task:1:0.05"
+      REPRO_FAULTS="delay:serve.request:1:0.5,err:task:0"
       REPRO_FAULTS_STAMP=/tmp/run-xyz   # exactly-once marker prefix
 
   Each spec is ``kind:point:task[:arg]``.  Kinds:
 
-  - ``kill``  — ``os._exit(17)`` (simulates hard worker death; only
-    meaningful at process-worker points),
   - ``delay`` — ``time.sleep(arg)`` seconds,
   - ``err``   — raise :class:`InjectedFaultError`.
 
   With ``REPRO_FAULTS_STAMP`` set, each spec fires **exactly once**
   across all processes: before enacting, the injector atomically creates
   ``<stamp>.<spec-index>`` (``O_CREAT | O_EXCL``); if the file already
-  exists the fault is skipped.  Without a stamp prefix, env-configured
-  ``kill`` specs would re-fire on every retry and the degradation ladder
-  could never succeed — so ``kill`` requires a stamp and is otherwise
-  ignored.
+  exists the fault is skipped.
 
-Faults never corrupt data: a kill is process death *before* the task
-computes, a delay is pure latency, an error is a clean raise.  There is
-deliberately no "corrupt result" fault — the memo-integrity chaos tests
-assert that whatever survives the ladder is bit-identical to the seed
-path, and a corruption fault would turn that invariant into a tautology
-about the injector instead of the engine.
+Faults never corrupt data: a delay is pure latency, an error is a clean
+raise.  There is deliberately no "corrupt result" fault — the
+memo-integrity chaos tests assert that whatever survives a fault is
+bit-identical to the seed path, and a corruption fault would turn that
+invariant into a tautology about the injector instead of the engine.
 """
 
 from __future__ import annotations
@@ -51,20 +45,17 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import ReproError
 
-#: Instrumented points, for reference: ``"worker"`` — a process-pool
-#: worker about to compute task ``index``; ``"task"`` — the parent
-#: thread-pool / serial path about to compute task ``index``;
+#: Instrumented points, for reference: ``"task"`` — the engine's
+#: thread-pool / serial warm path about to compute task ``index``;
 #: ``"serve.admit"`` — the service's admission controller about to admit
 #: request number ``index``; ``"serve.request"`` — a service executor
 #: thread about to run the engine work for request number ``index``.
 #: The serve points index by *request ordinal* (1-based arrival order),
 #: not task id, so chaos suites can hit "the third request" exactly.
-POINTS = ("worker", "task", "serve.admit", "serve.request")
+POINTS = ("task", "serve.admit", "serve.request")
 
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_STAMP = "REPRO_FAULTS_STAMP"
-
-_EXIT_CODE = 17
 
 
 class InjectedFaultError(ReproError):
@@ -80,7 +71,7 @@ class InjectedFaultError(ReproError):
 class FaultSpec:
     """One configured fault: fire ``kind`` when ``point``/``task`` match."""
 
-    kind: str  # "kill" | "delay" | "err"
+    kind: str  # "delay" | "err"
     point: str
     task: int
     arg: float = 0.0
@@ -91,7 +82,7 @@ class FaultSpec:
         if len(parts) not in (3, 4):
             raise ValueError(f"bad fault spec {text!r} (kind:point:task[:arg])")
         kind, point, task = parts[0], parts[1], int(parts[2])
-        if kind not in ("kill", "delay", "err"):
+        if kind not in ("delay", "err"):
             raise ValueError(f"unknown fault kind {kind!r} in {text!r}")
         if point not in POINTS:
             raise ValueError(f"unknown fault point {point!r} in {text!r}")
@@ -141,15 +132,9 @@ class FaultPlan:
         for index, spec in enumerate(self.specs):
             if spec.point != point or spec.task != task:
                 continue
-            if spec.kind == "kill" and self.stamp is None:
-                # Without exactly-once coordination a kill would re-fire
-                # on every retry and defeat the ladder; refuse quietly.
-                continue
             if not self._claim(index):
                 continue
-            if spec.kind == "kill":
-                os._exit(_EXIT_CODE)
-            elif spec.kind == "delay":
+            if spec.kind == "delay":
                 time.sleep(spec.arg)
             else:
                 raise InjectedFaultError(point, task)

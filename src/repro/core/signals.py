@@ -1,7 +1,7 @@
 """Cooperative SIGINT/SIGTERM handling for long-running runs.
 
 Long CLI paths — a big governed search, ``repro quantify --capacity``,
-an engine ``prewarm_hot`` fan-out — used to die mid-map on Ctrl-C: the
+an engine ``prewarm_hot`` fan-out — used to die mid-run on Ctrl-C: the
 default ``KeyboardInterrupt`` unwinds wherever the interpreter happens
 to be, losing every closure still in flight and skipping the persistent
 store flush.  The serve layer has the same problem spelled SIGTERM.
@@ -34,29 +34,6 @@ from repro.core.budget import CancellationToken
 #: Conventional exit code for a run ended by an interrupt signal
 #: (128 + SIGINT), used by the CLI's graceful-interrupt paths.
 EXIT_INTERRUPTED = 130
-
-
-def reset_inherited_signals() -> None:
-    """Detach a pool worker from its parent's signal plumbing.
-
-    Under the ``fork`` start method a worker inherits the parent's
-    C-level signal handlers *and* its ``signal.set_wakeup_fd`` pipe.  If
-    the parent runs an asyncio loop with ``add_signal_handler`` (the
-    serve layer), a SIGTERM delivered to the *worker* — e.g. by pool
-    shutdown after a sibling died — would write through the shared
-    wakeup pipe and fire the handler in the *parent*, draining a healthy
-    server because one of its children was told to stop.  Pool worker
-    initializers call this first to restore default delivery.
-    """
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(signum, signal.SIG_DFL)
-        except (ValueError, OSError):  # pragma: no cover
-            pass
 
 
 @contextmanager

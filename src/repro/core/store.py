@@ -2,7 +2,7 @@
 
 PR 6 made the *first* computation of a closure ~11x faster; this module
 makes the *second* computation — in a new CLI run, a restarted service,
-or a pool of cooperating processes — a single row fetch.  Three memo
+or another process sharing the file — a single row fetch.  Three memo
 families from the dependency stack persist to one sqlite file
 (stdlib-only, WAL-journaled):
 
@@ -49,9 +49,12 @@ journaling and a busy timeout.
 
 The on-disk payload is bounded (``max_bytes`` /
 ``REPRO_STORE_MAX_BYTES``) with LRU-by-last-access eviction across the
-three payload tables, accounted by the shared
-:class:`~repro.core.cache.ByteMeter` policy; the ``systems`` table
-(kernels) is exempt — it is what makes every other row decodable.
+payload tables, accounted by the shared
+:class:`~repro.core.cache.ByteMeter` policy.  The ``systems`` table is
+exempt: it records each registered system's hash, shape and
+per-operation hashes in one small row, and no stored successor tables —
+every row decodes against the engine's in-memory compile of the system,
+which computing the hash required anyway.
 
 Blobs use the platform's native int width/endianness (the store is a
 same-machine cache, not an interchange format); the *hash* is computed
@@ -79,7 +82,7 @@ from repro.core.compiled import CompiledKernel
 
 #: Version of the on-disk layout.  A file written by any other version
 #: degrades soundly to the in-memory path instead of being misread.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment variables: default store path (the CLI's ``--store``
 #: fallback) and the byte bound on the payload tables.
@@ -102,7 +105,6 @@ CREATE TABLE IF NOT EXISTS systems (
     sizes TEXT NOT NULL,
     op_names TEXT NOT NULL,
     op_hashes TEXT NOT NULL,
-    successors BLOB NOT NULL,
     created REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS closures (
@@ -159,7 +161,7 @@ _PAYLOAD_TABLES = ("closures", "history_tables", "buckets", "composed")
 def _table_bytes(table) -> bytes:
     """One flat id table in the canonical encoding hashes are computed
     over: unsigned 8-byte little-endian.  ``table`` is any iterable of
-    non-negative ints (``array('L')``, shared-memory memoryview, list)."""
+    non-negative ints (``array('L')``, memoryview, list)."""
     arr = table if isinstance(table, array) and table.itemsize == 8 else array(
         "Q", table
     )
@@ -181,8 +183,7 @@ def system_hash(kernel: CompiledKernel) -> str:
     (names, domain sizes, operation names) plus every operation's
     :func:`delta_hash`.  This is the store's primary key — computing it
     requires compiling (each operation runs once per state), so warm
-    starts skip the BFS, not the compile; callers that know the hash
-    already can skip the compile too via :meth:`PersistentStore.load_kernel`.
+    starts skip the BFS, not the compile.
     """
     header = json.dumps(
         {
@@ -473,9 +474,10 @@ class PersistentStore:
     # -- systems --------------------------------------------------------------
 
     def register_system(self, kernel: CompiledKernel) -> str | None:
-        """Ensure the kernel's tables are on disk and return its
-        canonical hash — the key every other method takes.  Returns
-        ``None`` when degraded (callers then skip the store entirely)."""
+        """Record the system's shape and per-operation hashes and
+        return its canonical hash — the key every other method takes.
+        Returns ``None`` when degraded (callers then skip the store
+        entirely)."""
         with self._lock:
             conn = self._connect()
             if conn is None:
@@ -489,8 +491,8 @@ class PersistentStore:
                     conn.execute(
                         "INSERT OR IGNORE INTO systems "
                         "(hash, n, names, sizes, op_names, op_hashes, "
-                        " successors, created) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                        " created) "
+                        "VALUES (?, ?, ?, ?, ?, ?, ?)",
                         (
                             h,
                             kernel.n,
@@ -500,7 +502,6 @@ class PersistentStore:
                             json.dumps(
                                 [delta_hash(t) for t in kernel.successors]
                             ),
-                            b"".join(_table_bytes(t) for t in kernel.successors),
                             time.time(),
                         ),
                     )
@@ -512,59 +513,6 @@ class PersistentStore:
                 self._degrade("register_system failed", exc)
                 return None
             return h
-
-    def load_kernel(self, h: str) -> CompiledKernel | None:
-        """Rebuild a :class:`~repro.core.compiled.CompiledKernel` from
-        its stored tables — no operation executes.  This is the warm
-        path for callers that already know the hash (a restarted service,
-        :meth:`repro.core.shm.KernelArena.from_store`); pair it with
-        ``CompiledSystem(system, kernel=...)`` or an arena."""
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                return None
-            try:
-                row = conn.execute(
-                    "SELECT n, names, sizes, op_names, successors "
-                    "FROM systems WHERE hash=?",
-                    (h,),
-                ).fetchone()
-            except sqlite3.Error as exc:
-                self._degrade("load_kernel failed", exc)
-                return None
-        if row is None:
-            return None
-        n, names_json, sizes_json, ops_json, blob = row
-        names = tuple(json.loads(names_json))
-        sizes = tuple(json.loads(sizes_json))
-        op_names = tuple(json.loads(ops_json))
-        try:
-            if len(blob) != 8 * n * len(op_names):
-                raise ValueError("successor blob length mismatch")
-            successors = []
-            for d in range(len(op_names)):
-                arr = array("L")
-                arr.frombytes(blob[8 * n * d : 8 * n * (d + 1)])
-                if sys.byteorder != "little":
-                    arr.byteswap()
-                successors.append(arr)
-        except ValueError:
-            obs.count("store.corrupt")
-            return None
-        strides_rev: list[int] = []
-        acc = 1
-        for size in reversed(sizes):
-            strides_rev.append(acc)
-            acc *= size
-        strides = tuple(reversed(strides_rev))
-        columns = tuple(
-            array("L", ((i // stride) % size for i in range(n)))
-            for stride, size in zip(strides, sizes)
-        )
-        obs.count("store.kernel_loads")
-        return CompiledKernel(
-            n, names, sizes, strides, columns, op_names, tuple(successors)
-        )
 
     # -- closures -------------------------------------------------------------
 
@@ -889,7 +837,7 @@ class PersistentStore:
     ) -> None:
         """Persist one composed successor array (``comp[i] = id(H(i))``)
         keyed by the history's op-index tuple, in the canonical 8-byte
-        little-endian encoding shared with the kernel tables."""
+        little-endian encoding :func:`delta_hash` hashes."""
         blob = _table_bytes(comp)
         with self._lock:
             conn = self._connect()
@@ -979,9 +927,8 @@ class PersistentStore:
     def _enforce_budget(self, conn: sqlite3.Connection) -> None:
         """LRU-by-last-access eviction across the payload tables until
         the :class:`~repro.core.cache.ByteMeter` budget holds.  The
-        ``systems`` table is exempt: kernels are what make every other
-        row decodable, and they are bounded by the number of distinct
-        systems, not by the query stream."""
+        ``systems`` table is exempt: one small row per distinct system,
+        bounded by the number of systems, not by the query stream."""
         self.meter.set_used(self._payload_bytes(conn))
         obs.gauge_max("store.bytes", self.meter.used)
         while self.meter.over_budget():

@@ -32,12 +32,10 @@ from repro.obs.telemetry import (
     Span,
     SpanRecord,
     TelemetrySnapshot,
-    absorb_batch,
     count,
     current_trace,
     disable,
     enable,
-    export_batch,
     gauge_max,
     is_enabled,
     new_trace_id,
@@ -64,13 +62,11 @@ __all__ = [
     "Span",
     "SpanRecord",
     "TelemetrySnapshot",
-    "absorb_batch",
     "count",
     "current_trace",
     "disable",
     "enable",
     "export",
-    "export_batch",
     "flight",
     "gauge_max",
     "is_enabled",

@@ -3,13 +3,12 @@
 A resident service cannot keep every request's spans — the collector's
 span ring (PR 10) constantly overwrites old spans — but the requests an
 operator actually needs post-mortems for are exactly the ones that went
-wrong: a 504 deadline trip, a 429/503 shed, a breaker transition, a
-store-degraded fallback.  The :class:`FlightRecorder` is a small ring of
-**complete span trees** captured at failure time, keyed by trace id:
-when the serving layer sees a failure status it calls :meth:`record`,
-which filters the current collector snapshot down to the request's
-trace id (including pool-worker spans absorbed under it) and stores the
-tree alongside the access-log facts.
+wrong: a 504 deadline trip, a 429/503 shed, a store-degraded fallback.
+The :class:`FlightRecorder` is a small ring of **complete span trees**
+captured at failure time, keyed by trace id: when the serving layer
+sees a failure status it calls :meth:`record`, which filters the
+current collector snapshot down to the request's trace id and stores
+the tree alongside the access-log facts.
 
 The ring is bounded (default 64 records) so a failure storm costs a
 fixed amount of memory; the oldest post-mortems are overwritten first.
@@ -34,7 +33,6 @@ DEFAULT_CAPACITY = 64
 REASONS = (
     "deadline",        # 504: cooperative deadline tripped
     "shed",            # 429/503: admission controller refused the work
-    "breaker",         # circuit breaker open / tripped during the request
     "store-degraded",  # persistent store fell back to compute
     "error",           # unexpected 5xx
     "slow",            # over the slow-request threshold (operator-set)

@@ -63,8 +63,8 @@ def render(
     """The snapshot in Prometheus text exposition format.
 
     ``extra_gauges`` lets the serving layer add point-in-time values the
-    collector does not own (queue depth now, sessions resident, breaker
-    state) without routing them through gauge high-water marks.
+    collector does not own (queue depth now, sessions resident) without
+    routing them through gauge high-water marks.
     """
     if snap is None:
         snap = telemetry.snapshot()

@@ -15,13 +15,9 @@ properties the hot loops demand:
   all when disabled — per-expansion statistics (frontier high-water
   marks) are gathered only by the telemetry variant of the loop, which
   is selected once per closure (see ``CompiledKernel.closure``).
-- **Thread- and process-safe.**  The collector is lock-protected; spans
-  parent through a :class:`contextvars.ContextVar`, so thread-pool and
-  asyncio fan-outs nest correctly.  Process-pool workers cannot share
-  the collector, so they :func:`export_batch` their finished spans and
-  counters (plain picklable tuples) and the parent :func:`absorb_batch`
-  merges them — the batch rides the existing ``_warm`` result stream,
-  no side channel.
+- **Thread-safe.**  The collector is lock-protected; spans parent
+  through a :class:`contextvars.ContextVar`, so thread-pool and asyncio
+  fan-outs nest correctly.
 
 Telemetry **never changes verdicts**: instrumentation only reads the
 loop state the algorithms already maintain, and every governed code path
@@ -73,7 +69,7 @@ class SpanRecord:
     (monotonic); ``parent_id`` is the span id of the enclosing span in
     the same context, or ``None`` for roots.  ``attrs`` holds small
     key→value annotations (source sets, constraint names, memo
-    outcomes) — values must be picklable and JSON-serializable.
+    outcomes) — values must be JSON-serializable.
     ``trace_id`` is the request/trace correlation id active when the
     span closed (see :func:`trace_context`), or ``None`` outside any
     trace — e.g. a CLI run that never minted one.
@@ -94,8 +90,8 @@ class SpanRecord:
 
 #: Fixed bucket upper bounds in **seconds** for every latency histogram.
 #: Fixed and shared means histograms merge exactly (element-wise count
-#: addition) across threads, process-pool workers and scraped servers —
-#: the property Prometheus exposition and `absorb_batch` both rely on.
+#: addition) across threads and scraped servers — the property
+#: Prometheus exposition relies on.
 #: One implicit +Inf overflow bucket follows the last bound.
 HIST_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
@@ -108,7 +104,6 @@ HIST_BUCKETS = (
 SPAN_HISTOGRAMS = {
     "engine.closure": "engine.closure.seconds",
     "engine.history_sweep": "engine.history_sweep.seconds",
-    "worker.closure": "worker.closure.seconds",
     "serve.query": "serve.query.seconds",
     "serve.session.create": "serve.session.seconds",
 }
@@ -164,8 +159,8 @@ class _Collector:
     """Thread-safe sink for finished spans, counters and gauges.
 
     Counters accumulate (``+= n``); gauges keep a high-water mark
-    (``max``).  Both are plain ``str -> int/float`` dicts so snapshots
-    and batches are trivially picklable.
+    (``max``).  Both are plain ``str -> int/float`` dicts, so snapshots
+    are cheap copies.
     """
 
     def __init__(self, max_spans: int | None = None) -> None:
@@ -217,16 +212,6 @@ class _Collector:
                 self._hists[name] = entry
             entry[0][bucket] += 1
             entry[1] += seconds
-
-    def merge_hist(self, name: str, counts, sum_seconds: float) -> None:
-        with self._lock:
-            entry = self._hists.get(name)
-            if entry is None:
-                entry = [[0] * (len(HIST_BUCKETS) + 1), 0.0]
-                self._hists[name] = entry
-            for i, c in enumerate(counts):
-                entry[0][i] += c
-            entry[1] += sum_seconds
 
     def snapshot(self) -> "TelemetrySnapshot":
         with self._lock:
@@ -483,108 +468,6 @@ def observe(name: str, seconds: float) -> None:
     _COLLECTOR.observe(name, seconds)
 
 
-# -- cross-process batches ----------------------------------------------------
-#
-# Process-pool workers enable telemetry from the pool initializer, run
-# their closures under local spans, and ship the batch back as the third
-# element of the task result.  Batches are plain tuples of primitives —
-# no SpanRecord instances cross the boundary — so absorbing them costs
-# one pickle round-trip they already paid for the closure itself.
-
-#: A picklable batch: (span tuples, counters, gauges, histograms).
-#: Span tuples are ``(name, span_id, parent_id, start_ns, duration_ns,
-#: pid, tid, attrs, trace_id)``; histograms are
-#: ``name -> (bucket counts, sum_seconds)``.
-Batch = tuple[
-    tuple[tuple, ...],
-    dict[str, int],
-    dict[str, float],
-    dict[str, tuple[tuple[int, ...], float]],
-]
-
-
-def export_batch(clear: bool = True) -> Batch:
-    """Snapshot the collector as a picklable batch (worker side)."""
-    snap = _COLLECTOR.snapshot()
-    if clear:
-        _COLLECTOR.clear()
-    spans = tuple(
-        (
-            s.name,
-            s.span_id,
-            s.parent_id,
-            s.start_ns,
-            s.duration_ns,
-            s.pid,
-            s.tid,
-            dict(s.attrs),
-            s.trace_id,
-        )
-        for s in snap.spans
-    )
-    hists = {
-        name: (hist.counts, hist.sum_seconds)
-        for name, hist in snap.hists.items()
-    }
-    return (spans, snap.counters, snap.gauges, hists)
-
-
-def absorb_batch(batch: Batch | None) -> None:
-    """Merge a worker batch into this process's collector (parent side).
-
-    Worker clocks are per-process (``perf_counter_ns`` has an arbitrary
-    epoch per interpreter), so worker spans are **re-based**: the batch
-    keeps its internal relative timing but is anchored so its latest
-    span ends at absorb time — the moment its results streamed back.
-    Span ids are offset into a fresh id range to avoid colliding with
-    parent spans; parent links inside the batch are preserved.
-
-    Trace propagation: a worker has no way to know which request's
-    fan-out it is serving, so worker spans arrive with ``trace_id=None``
-    and are stamped with the trace id active *at absorb time* — the
-    absorbing thread is the one running the request's warm fan-out, so
-    the stamp lands on the correct request.  Histogram durations are
-    clock-difference values and merge exactly, untouched by re-basing.
-    """
-    if not batch or not _ENABLED:
-        return
-    spans, counters, gauges = batch[:3]
-    hists = batch[3] if len(batch) > 3 else {}
-    now_ns = time.perf_counter_ns()
-    if spans:
-        absorb_trace = _TRACE_ID.get()
-        batch_end = max(s[3] + s[4] for s in spans)
-        shift = now_ns - batch_end
-        ids = {s[1] for s in spans}
-        base = _COLLECTOR.new_span_id()
-        remap = {old: base + k for k, old in enumerate(sorted(ids))}
-        # Reserve the remapped range so later parent spans don't collide.
-        for _ in range(len(ids) - 1):
-            _COLLECTOR.new_span_id()
-        for s in spans:
-            name, span_id, parent_id, start_ns, duration_ns, pid, tid, attrs = s[:8]
-            trace_id = s[8] if len(s) > 8 else None
-            _COLLECTOR.add_span(
-                SpanRecord(
-                    name=name,
-                    span_id=remap[span_id],
-                    parent_id=remap.get(parent_id),
-                    start_ns=start_ns + shift,
-                    duration_ns=duration_ns,
-                    pid=pid,
-                    tid=tid,
-                    attrs=attrs,
-                    trace_id=trace_id if trace_id is not None else absorb_trace,
-                )
-            )
-    for name, n in counters.items():
-        _COLLECTOR.add_count(name, n)
-    for name, value in gauges.items():
-        _COLLECTOR.add_gauge_max(name, value)
-    for name, (counts, sum_seconds) in hists.items():
-        _COLLECTOR.merge_hist(name, counts, sum_seconds)
-
-
 # -- span/counter taxonomy ----------------------------------------------------
 
 #: The span names the stack emits, for reference and for the trace
@@ -596,7 +479,6 @@ SPAN_NAMES = (
     "engine.operation_flows",  # one per-constraint single-step flow matrix
     "engine.warm",             # one batched closure fan-out
     "kernel.closure",          # the compiled integer BFS itself
-    "worker.closure",          # a process-pool worker's BFS
     "audit.cell",              # one (source, target) audit cell
     "taint.closure",           # the syntactic taint baseline
     "induction.per_operation_flows",
@@ -616,7 +498,6 @@ SPAN_NAMES = (
     "serve.query",             # one service query's engine work
     "serve.session.create",    # build + compile + key one session
     "serve.warm",              # one session prewarm fan-out
-    "serve.probe",             # one breaker watchdog pool probe
     "serve.drain",             # the SIGTERM drain sequence
 )
 
@@ -642,10 +523,7 @@ COUNTER_NAMES = (
     "kernel.history_compose.evictions",
     "kernel.sat_ids.evictions",
     "kernel.bitset.levels",
-    "pool.retries",
     "pool.degradations",
-    "pool.shm.arenas",
-    "pool.shm.fallbacks",
     "budget.trips",
     "execution.reports",
     "execution.reports_dropped",
@@ -656,7 +534,6 @@ COUNTER_NAMES = (
     "store.evictions",
     "store.degraded",
     "store.corrupt",
-    "store.kernel_loads",
     "quant.states_scanned",
     "quant.buckets_scanned",
     "quant.ba_iterations",
@@ -665,9 +542,6 @@ COUNTER_NAMES = (
     "serve.requests",
     "serve.shed",
     "serve.deadline_timeouts",
-    "serve.breaker.trips",
-    "serve.breaker.probes",
-    "serve.breaker.recoveries",
     "serve.sessions.created",
     "serve.sessions.evicted",
     "serve.drain.flushed",
@@ -684,7 +558,6 @@ GAUGE_NAMES = (
     "engine.history_set.evictions",
     "kernel.history_compose.evictions",
     "kernel.sat_ids.evictions",
-    "pool.shm.bytes",
     "execution.log_size",
     "store.evictions",
     "store.bytes",

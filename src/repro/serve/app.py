@@ -1,9 +1,9 @@
 """The ``repro serve`` server: routes, deadlines, drain.
 
-One asyncio event loop owns the sockets, the admission gate and the
-breaker watchdog; engine work runs in a small thread-pool executor
-(closure BFS holds the GIL, but requests overlap on store I/O and —
-via the warm fan-out — on the process pool).  The pieces compose as::
+One asyncio event loop owns the sockets and the admission gate; engine
+work runs in a small thread-pool executor sized by ``--workers``
+(closure BFS mostly holds the GIL, but requests overlap on store I/O
+and on NumPy sweeps).  The pieces compose as::
 
     client ──> http.read_request ──> dispatch
                     │ POST /v1/query
@@ -58,7 +58,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.flight import FlightRecorder
 from repro.serve.accesslog import AccessLog, AccessRecord
 from repro.serve.admission import AdmissionController, RequestQuota, ShedError
-from repro.serve.breaker import CircuitBreaker, probe_pool
 from repro.serve.http import (
     HttpError,
     Request,
@@ -67,7 +66,7 @@ from repro.serve.http import (
     text_response,
 )
 from repro.serve.sessions import Session, SessionRegistry
-from repro.systems.program import parse_expr, program_transmits
+from repro.systems.program import PC, parse_expr, program_transmits
 
 #: Extra wall clock the loop grants past the deadline for the
 #: cooperative trip to surface before it cancels the token itself.
@@ -94,7 +93,6 @@ class ServeConfig:
     default_max_states: int | None = None
     drain_grace_seconds: float = 5.0
     max_body: int = 1 << 20
-    watchdog_interval_seconds: float = 0.2
     access_log: str | None = None
     flight_capacity: int = 64
     slow_request_ms: float | None = None
@@ -135,7 +133,6 @@ class ReproServer:
         self.admission = AdmissionController(
             config.max_concurrency, config.max_queue
         )
-        self.breaker = CircuitBreaker()
         self.executor = ThreadPoolExecutor(
             max_workers=config.workers, thread_name_prefix="repro-serve"
         )
@@ -145,7 +142,6 @@ class ReproServer:
         self._seq = 0
         self._server: asyncio.AbstractServer | None = None
         self._stopped = asyncio.Event()
-        self._watchdog_task: asyncio.Task | None = None
         self._active_tokens: set[CancellationToken] = set()
         self.requests_by_status: dict[int, int] = {}
         self.drain_flushed = 0
@@ -166,9 +162,6 @@ class ReproServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.ready = True
-        self._watchdog_task = asyncio.get_running_loop().create_task(
-            self._watchdog()
-        )
 
     def install_signal_handlers(self) -> None:
         loop = asyncio.get_running_loop()
@@ -218,8 +211,6 @@ class ReproServer:
                     and time.monotonic() < deadline + _CANCEL_ACK
                 ):
                     await asyncio.sleep(0.02)
-            if self._watchdog_task is not None:
-                self._watchdog_task.cancel()
             loop = asyncio.get_running_loop()
             self.drain_flushed = await loop.run_in_executor(
                 self.executor, self.registry.flush
@@ -236,21 +227,6 @@ class ReproServer:
             flush=True,
         )
         self._stopped.set()
-
-    async def _watchdog(self) -> None:
-        """Probe a dead pool back to life on capped-exponential cooldown."""
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(self.config.watchdog_interval_seconds)
-            if not self.breaker.should_probe():
-                continue
-            self.breaker.begin_probe()
-            with obs.span("serve.probe"):
-                ok = await loop.run_in_executor(self.executor, probe_pool)
-            if ok:
-                self.breaker.probe_succeeded()
-            else:
-                self.breaker.probe_failed()
 
     # -- connection loop ------------------------------------------------------
 
@@ -378,8 +354,8 @@ class ReproServer:
     def _in_trace(self, trace_id: str | None, fn, *args):
         """Executor-thread entry: ``run_in_executor`` does not propagate
         contextvars, so the request's trace id is re-installed
-        explicitly around the thread body (spans, Provenance and
-        absorbed pool batches all read it from there)."""
+        explicitly around the thread body (spans and Provenance read it
+        from there)."""
         token = obs.set_trace(trace_id)
         try:
             return fn(*args)
@@ -420,18 +396,15 @@ class ReproServer:
     # -- health / stats -------------------------------------------------------
 
     def _healthz(self) -> dict:
-        breaker = self.breaker.stats()
         store_degraded = self.registry.any_store_degraded()
         if self.draining:
             status = "draining"
-        elif breaker["state"] != "closed" or store_degraded:
+        elif store_degraded:
             status = "degraded"
         else:
             status = "ok"
         return {
             "status": status,
-            "breaker": breaker,
-            "pool_executor": self.breaker.executor_hint(),
             "store_degraded": store_degraded,
             "sessions": len(self.registry.sessions()),
             "inflight": self.admission.inflight,
@@ -445,7 +418,6 @@ class ReproServer:
             "serve.inflight.current": float(self.admission.inflight),
             "serve.queue_depth.current": float(self.admission.waiting),
             "serve.sessions.resident": float(len(self.registry.sessions())),
-            "serve.breaker.open": 0.0 if self.breaker.stats()["state"] == "closed" else 1.0,
             "serve.flight.retained": float(self.flight.stats()["retained"]),
         }
 
@@ -467,7 +439,6 @@ class ReproServer:
                 str(k): v for k, v in sorted(self.requests_by_status.items())
             },
             "admission": self.admission.stats(),
-            "breaker": self.breaker.stats(),
             "sessions": self.registry.stats(),
             "access": self.access_log.stats(),
             "flight": self.flight.stats(),
@@ -524,20 +495,14 @@ class ReproServer:
         }
 
     def _warm_session(self, session: Session) -> None:
-        """Fan the session's singleton closures out across the pool
-        (executor steered by the breaker), then feed the resulting
-        execution reports back as breaker evidence."""
-        engine = session.engine
-        log = engine.execution_log
-        before = len(log.reports)
+        """Compute the closures the session's queries read: one per
+        program variable, under the ``pc = entry`` constraint
+        :func:`program_transmits` asks with.  Serial: this already runs
+        on a request executor thread, beside concurrent requests."""
+        ps = session.ps
+        sources = [frozenset([name]) for name in ps.space.names if name != PC]
         with obs.span("serve.warm"):
-            try:
-                engine.closure(
-                    max_workers=self.config.workers,
-                    executor=self.breaker.executor_hint(),
-                )
-            finally:
-                self.breaker.observe_reports(log.reports[before:])
+            session.engine.closure(ps.entry_constraint(), sources)
 
     # -- queries --------------------------------------------------------------
 

@@ -10,7 +10,6 @@ seed-path verdict (monotone refinement).
 
 from __future__ import annotations
 
-import pickle
 
 import pytest
 
@@ -106,14 +105,6 @@ class TestBudgetTrips:
         # An explicit unbounded budget overrides the engine default.
         assert bool(engine.depends_ever({"a"}, "b", budget=ExecutionBudget()))
 
-    def test_error_pickles_across_process_boundary(self, relay):
-        engine = DependencyEngine(relay)
-        with pytest.raises(BudgetExceededError) as info:
-            engine.depends_ever({"a"}, "b", budget=ExecutionBudget(max_expanded=0))
-        clone = pickle.loads(pickle.dumps(info.value))
-        assert isinstance(clone, BudgetExceededError)
-        assert clone.partial == info.value.partial
-
 
 class TestMemoIntegrity:
     def test_trip_memoizes_nothing(self, relay):
@@ -188,12 +179,6 @@ class TestBudgetHelpers:
     def test_unbounded_budget_has_no_meter(self):
         assert ExecutionBudget().start("x") is None
         assert not ExecutionBudget().bounded
-
-    def test_limits_round_trip(self):
-        budget = ExecutionBudget(max_seconds=1.5, max_expanded=10, max_pairs=20)
-        assert ExecutionBudget.from_limits(budget.limits()) == ExecutionBudget(
-            max_seconds=1.5, max_expanded=10, max_pairs=20
-        )
 
     def test_scaled(self):
         budget = ExecutionBudget(max_seconds=1.0, max_expanded=10, max_pairs=4)

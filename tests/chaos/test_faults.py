@@ -1,15 +1,14 @@
-"""Chaos tests: fault injection and the pool degradation ladder.
+"""Chaos tests: fault injection and the thread->serial fallback.
 
-Injects worker death, transient task errors and delays through the
-:mod:`repro.core.faults` seam — both in-process (plans) and
-cross-process (``REPRO_FAULTS`` env + exactly-once stamp files) — and
-asserts the engine's answers stay bit-identical to the seed path while
-the execution log records the retries and degradations taken.
+Injects transient task errors and delays through the
+:mod:`repro.core.faults` seam — both in-process (plans) and through
+exactly-once stamp files — and asserts the engine's answers stay
+bit-identical to the seed path while the execution log records the
+degradations taken.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 
 import pytest
@@ -21,36 +20,6 @@ from repro.core.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.core.system import System
 from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
-
-
-def _probe(x: int) -> int:
-    return x + 1
-
-
-@functools.lru_cache(maxsize=1)
-def _process_pool_works() -> bool:
-    """True iff this platform can actually spawn pool workers (sandboxes
-    without semaphores / fork can't; the ladder degrades there, which is
-    correct behaviour but makes retry-count assertions meaningless).
-
-    Deliberately *lazy* (called from inside tests, never at import time):
-    forking while this module is still being imported would leave the
-    child deadlocked on the inherited import lock when it unpickles
-    :func:`_probe`.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(_probe, 1).result(timeout=60) == 2
-    except Exception:
-        return False
-
-
-def require_processes() -> None:
-    """Skip the calling test when the platform has no usable pool."""
-    if not _process_pool_works():
-        pytest.skip("platform cannot spawn pool processes")
 
 
 @pytest.fixture
@@ -70,7 +39,7 @@ class TestFaultSpecs:
     def test_parse_round_trip(self):
         spec = FaultSpec.parse("delay:task:3:0.25")
         assert spec == FaultSpec(kind="delay", point="task", task=3, arg=0.25)
-        assert FaultSpec.parse("kill:worker:1").arg == 0.0
+        assert FaultSpec.parse("err:task:1").arg == 0.0
 
     @pytest.mark.parametrize(
         "bad", ["kill", "kill:worker", "boom:worker:1", "kill:nowhere:1"]
@@ -103,44 +72,13 @@ class TestFaultSpecs:
         assert os.path.exists(f"{stamp}.0")
         plan.enact("task", 0)  # stamp exists; refused
 
-    def test_kill_without_stamp_is_refused(self):
-        # Would re-fire on every retry and defeat the ladder — and would
-        # also kill this very test process.  Must be a silent no-op.
-        plan = FaultPlan(specs=(FaultSpec(kind="kill", point="worker", task=0),))
-        plan.enact("worker", 0)
-
 
 class TestDegradationLadder:
-    def test_worker_kill_mid_map_recovers_to_seed_verdict(
-        self, relay, tmp_path, monkeypatch
-    ):
-        """Acceptance: a worker killed mid-``map`` loses only in-flight
-        tasks; the retried pool completes and the matrix is identical to
-        the fault-free seed run."""
-        require_processes()
-        monkeypatch.setenv(faults.ENV_FAULTS, "kill:worker:1")
-        monkeypatch.setenv(faults.ENV_STAMP, str(tmp_path / "stamp"))
-        engine = DependencyEngine(relay)
-        assert engine.matrix(max_workers=2) == seed_matrix(relay)
-        warm = [r for r in engine.execution_log.reports if r.label.startswith("warm")]
-        assert warm and warm[0].retries >= 1
-        assert warm[0].completed
-
-    def test_transient_worker_error_is_retried(self, relay, tmp_path, monkeypatch):
-        require_processes()
-        monkeypatch.setenv(faults.ENV_FAULTS, "err:worker:0")
-        monkeypatch.setenv(faults.ENV_STAMP, str(tmp_path / "stamp"))
-        engine = DependencyEngine(relay)
-        assert engine.matrix(max_workers=2) == seed_matrix(relay)
-        warm = [r for r in engine.execution_log.reports if r.label.startswith("warm")]
-        assert warm and warm[0].retries >= 1
-        assert warm[0].executor == "process"
-
     def test_thread_fault_degrades_to_serial(self, relay):
         plan = FaultPlan(specs=(FaultSpec(kind="err", point="task", task=0),))
         engine = DependencyEngine(relay)
         with faults.active_plan(plan):
-            matrix = engine.matrix(max_workers=2, executor="thread")
+            matrix = engine.matrix(max_workers=2)
         assert matrix == seed_matrix(relay)
         warm = [r for r in engine.execution_log.reports if r.label.startswith("warm")]
         assert warm and "thread->serial" in warm[0].degradations
@@ -155,35 +93,3 @@ class TestDegradationLadder:
         with faults.active_plan(plan):
             matrix = engine.matrix()
         assert matrix == seed_matrix(relay)
-
-    def test_computed_chunksize(self, relay, monkeypatch):
-        """The process fan-out batches tasks (~4 chunks per worker)
-        instead of paying one IPC round-trip per closure."""
-        from concurrent.futures import ThreadPoolExecutor
-
-        recorded: list[int] = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            """Thread pool standing in for the process pool: the worker
-            globals set by the initializer live in this process, and the
-            ``chunksize`` passed to ``map`` can be captured."""
-
-            def map(self, fn, *iterables, timeout=None, chunksize=1):
-                recorded.append(chunksize)
-                return super().map(fn, *iterables, timeout=timeout)
-
-        monkeypatch.setattr(
-            "repro.core.engine.ProcessPoolExecutor", RecordingPool
-        )
-        b = SystemBuilder().booleans("w", "x", "y", "z")
-        b.op_assign("d1", "x", var("w"))
-        b.op_assign("d2", "y", var("x"))
-        system = b.build()
-        names = system.space.names
-        family = [frozenset([n]) for n in names] + [
-            frozenset(pair)
-            for pair in zip(names, names[1:] + names[:1])
-        ]  # 8 source sets
-        engine = DependencyEngine(system)
-        engine.closure(sources=family, max_workers=1)
-        assert recorded == [max(1, len(family) // (1 * 4))] == [2]

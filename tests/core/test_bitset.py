@@ -10,7 +10,6 @@ random systems lives in ``tests/property/test_bitset_agreement.py``.
 
 from __future__ import annotations
 
-import pickle
 from array import array
 
 import pytest
@@ -209,12 +208,6 @@ class TestPackedParents:
         parents = self._packed()
         assert list(parents) == [7, 3, 11, 5]
         assert dict(parents) == {7: INITIAL, 3: 70, 11: 30, 5: 110}
-
-    def test_pickle_roundtrip(self):
-        parents = self._packed()
-        clone = pickle.loads(pickle.dumps(parents))
-        assert dict(clone) == dict(parents)
-        assert list(clone) == list(parents)
 
 
 class TestVectorScans:

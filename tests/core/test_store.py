@@ -236,65 +236,6 @@ def test_constraint_key_shared_across_instances(tmp_path):
         assert store.hits == 1
 
 
-# -- kernel hydration ---------------------------------------------------------
-
-
-def test_load_kernel_round_trip(tmp_path):
-    system = _ring()
-    kernel = _kernel(system)
-    with PersistentStore(tmp_path / "memo.sqlite") as store:
-        h = store.register_system(kernel)
-        loaded = store.load_kernel(h)
-    assert loaded is not None
-    assert loaded.n == kernel.n
-    assert loaded.names == kernel.names
-    assert loaded.sizes == kernel.sizes
-    assert loaded.strides == kernel.strides
-    assert loaded.op_names == kernel.op_names
-    for got, want in zip(loaded.successors, kernel.successors):
-        assert list(got) == list(want)
-    for got, want in zip(loaded.columns, kernel.columns):
-        assert list(got) == list(want)
-    assert store.load_kernel("0" * 32) is None  # unknown hash
-
-
-def test_hydrate_kernel_skips_recompile(tmp_path):
-    system = _ring()
-    with PersistentStore(tmp_path / "memo.sqlite") as store:
-        h = store.register_system(_kernel(system))
-        kernel = store.load_kernel(h)
-        engine = DependencyEngine(_ring(), store=store)
-        engine.hydrate_kernel(kernel)
-        assert engine.compiled_system().kernel is kernel
-        assert engine.depends_ever({"x0"}, "x1")
-
-
-def test_kernel_arena_from_store(tmp_path):
-    shm = pytest.importorskip("repro.core.shm")
-    system = _ring()
-    with PersistentStore(tmp_path / "memo.sqlite") as store:
-        h = store.register_system(_kernel(system))
-        arena = shm.KernelArena.from_store(store, h)
-        assert shm.KernelArena.from_store(store, "0" * 32) is None
-    assert arena is not None
-    try:
-        attached, block = arena.handle().attach()
-        meta = (attached.n, attached.op_names)
-        del attached  # views must be dropped before the block can close
-        block.close()
-        assert meta == (system.space.size, ("m0", "m1", "m2"))
-    finally:
-        arena.destroy()
-
-
-def test_stored_kernel_shape_mismatch_rejected(tmp_path):
-    with PersistentStore(tmp_path / "memo.sqlite") as store:
-        h = store.register_system(_kernel(_ring(n=3)))
-        kernel = store.load_kernel(h)
-    with pytest.raises(ValueError, match="shape"):
-        CompiledSystem(_ring(n=4), kernel=kernel)
-
-
 # -- bounding -----------------------------------------------------------------
 
 

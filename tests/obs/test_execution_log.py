@@ -102,19 +102,18 @@ class TestTelemetryFeed:
             label="x", reason="deadline", expanded=0, discovered=0,
             frontier=1, elapsed=0.0,
         )
-        log.record(_report(0, retries=2, degradations=("process->thread",)))
+        log.record(_report(0, degradations=("thread->serial",)))
         log.record(_report(1, completed=False, partial=partial))
         log.record(_report(2))  # evicts run0
         counters = obs.snapshot().counters
         assert counters["execution.reports"] == 3
         assert counters["execution.reports_dropped"] == 1
         assert counters["budget.trips"] == 1
-        assert counters["pool.retries"] == 2
         assert counters["pool.degradations"] == 1
         assert obs.snapshot().gauges["execution.log_size"] == 2
 
     def test_disabled_telemetry_records_silently(self):
         log = ExecutionLog()
-        log.record(_report(0, retries=1))
+        log.record(_report(0, degradations=("thread->serial",)))
         assert obs.snapshot().counters == {}
         assert log.recorded == 1

@@ -1,12 +1,10 @@
 """PR-10 unit tests: fixed-bucket latency histograms (merge semantics,
-absorb across the pool boundary, percentiles, Prometheus render/lint)
-and trace-context propagation — including across the engine's
-process→thread→serial degradation ladder."""
+percentiles, Prometheus render/lint) and trace-context propagation —
+including across the engine's thread->serial fallback."""
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import re
 import threading
 
@@ -94,62 +92,6 @@ class TestHistogram:
         assert obs.snapshot().hists == {}
 
 
-class TestAbsorbHistograms:
-    def _worker_batch(self):
-        """A batch as a process-pool worker would produce it: one
-        worker.closure span (which feeds its histogram on exit) plus an
-        explicit observation."""
-        obs.enable(reset=True)
-        with obs.span("worker.closure", task=0):
-            pass
-        obs.observe("serve.query.seconds", 0.3)
-        return obs.export_batch()
-
-    def test_absorb_merges_histograms_across_the_pool_boundary(self):
-        batch = self._worker_batch()
-        obs.enable(reset=True)
-        obs.observe("serve.query.seconds", 0.002)
-        obs.absorb_batch(batch)
-        hists = obs.snapshot().hists
-        assert hists["serve.query.seconds"].count == 2
-        assert hists["worker.closure.seconds"].count == 1
-
-    def test_worker_clock_rebasing_leaves_histograms_exact(self):
-        # absorb_batch re-anchors the worker's monotonic clock so spans
-        # render in the parent's timeline; bucket counts and duration
-        # sums are clock-free and must come through bit-identical.
-        batch = self._worker_batch()
-        _, _, _, batch_hists = batch
-        obs.enable(reset=True)
-        obs.absorb_batch(batch)
-        snap = obs.snapshot()
-        for name, (counts, sum_seconds) in batch_hists.items():
-            assert snap.hists[name].counts == tuple(counts)
-            assert snap.hists[name].sum_seconds == sum_seconds
-        # ...while the spans themselves were re-based into our timeline.
-        worker_span = next(
-            s for s in snap.spans if s.name == "worker.closure"
-        )
-        assert snap.hists["worker.closure.seconds"].sum_seconds == (
-            pytest.approx(worker_span.duration_ns / 1e9)
-        )
-
-    def test_absorb_stamps_worker_spans_with_the_ambient_trace(self):
-        batch = self._worker_batch()
-        spans, _, _, _ = batch
-        assert all(s[-1] is None for s in spans), "workers ship no trace"
-        obs.enable(reset=True)
-        with obs.trace_context("req-42"):
-            obs.absorb_batch(batch)
-        assert {s.trace_id for s in obs.snapshot().spans} == {"req-42"}
-
-    def test_absorb_without_a_trace_leaves_spans_unstamped(self):
-        batch = self._worker_batch()
-        obs.enable(reset=True)
-        obs.absorb_batch(batch)
-        assert {s.trace_id for s in obs.snapshot().spans} == {None}
-
-
 class TestTraceContext:
     def test_new_trace_id_shape(self):
         tid = obs.new_trace_id()
@@ -204,21 +146,6 @@ class TestTraceContext:
         assert seen == {"bare": None, "copied": "t-thread"}
 
 
-def _probe(x: int) -> int:
-    return x + 1
-
-
-@functools.lru_cache(maxsize=1)
-def _process_pool_works() -> bool:
-    from concurrent.futures import ProcessPoolExecutor
-
-    try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(_probe, 1).result(timeout=60) == 2
-    except Exception:
-        return False
-
-
 @pytest.fixture
 def relay():
     b = SystemBuilder().booleans("a", "m", "b")
@@ -229,8 +156,8 @@ def relay():
 
 class TestLadderTraceStability:
     """The same trace id must land on every span a warm fan-out
-    produces, whichever rung of the process→thread→serial ladder
-    actually ran the closures."""
+    produces, whether threads or the serial fallback ran the
+    closures."""
 
     def _warm_under_trace(self, relay, tid, **kwargs):
         obs.enable(reset=True)
@@ -240,34 +167,12 @@ class TestLadderTraceStability:
         spans = obs.snapshot().spans
         assert spans, "warm produced no spans"
         assert {s.trace_id for s in spans} == {tid}
-        return engine
 
     def test_serial_spans_carry_the_trace(self, relay):
         self._warm_under_trace(relay, "t-serial")
 
     def test_thread_fanout_spans_carry_the_trace(self, relay):
-        self._warm_under_trace(
-            relay, "t-thread", max_workers=2, executor="thread"
-        )
-
-    def test_process_fanout_worker_spans_carry_the_trace(self, relay):
-        if not _process_pool_works():
-            pytest.skip("platform cannot spawn pool processes")
-        engine = self._warm_under_trace(
-            relay, "t-process", max_workers=2, executor="process"
-        )
-        report = next(
-            r for r in engine.execution_log.reports
-            if r.label.startswith("warm")
-        )
-        if report.executor == "process":
-            # Spans absorbed from pool workers were stamped at absorb
-            # time with the same trace.
-            names = {
-                s.name for s in obs.snapshot().spans
-                if s.trace_id == "t-process"
-            }
-            assert "worker.closure" in names
+        self._warm_under_trace(relay, "t-thread", max_workers=2)
 
     def test_degraded_thread_to_serial_keeps_one_trace(self, relay):
         plan = FaultPlan(specs=(FaultSpec(kind="err", point="task", task=0),))
@@ -275,7 +180,7 @@ class TestLadderTraceStability:
         engine = DependencyEngine(relay)
         with obs.trace_context("t-degrade"):
             with faults.active_plan(plan):
-                engine.matrix(max_workers=2, executor="thread")
+                engine.matrix(max_workers=2)
         spans = obs.snapshot().spans
         assert spans and {s.trace_id for s in spans} == {"t-degrade"}
         report = next(

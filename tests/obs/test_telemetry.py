@@ -1,5 +1,5 @@
-"""Unit tests for the telemetry core: spans, counters, gauges, batches,
-and the exporters (Chrome trace / JSONL / aggregate / schema)."""
+"""Unit tests for the telemetry core: spans, counters, gauges, and the
+exporters (Chrome trace / JSONL / aggregate / schema)."""
 
 import json
 import threading
@@ -152,80 +152,6 @@ class TestCountersAndGauges:
         obs.gauge_max("frontier", 10)
         snap = obs.snapshot()
         assert snap.counters == {} and snap.gauges == {}
-
-
-class TestBatches:
-    def _worker_batch(self):
-        """A batch as a process-pool worker would produce it."""
-        obs.enable(reset=True)
-        with obs.span("worker.closure", task=0):
-            with obs.span("kernel.closure"):
-                pass
-        obs.count("kernel.pair_expansions", 7)
-        obs.gauge_max("kernel.frontier_high_water", 4)
-        return obs.export_batch()
-
-    def test_export_batch_clears_by_default(self):
-        self._worker_batch()
-        snap = obs.snapshot()
-        assert snap.spans == () and snap.counters == {}
-
-    def test_batch_is_plain_picklable_data(self):
-        import pickle
-
-        batch = self._worker_batch()
-        spans, counters, gauges, hists = pickle.loads(pickle.dumps(batch))
-        assert counters == {"kernel.pair_expansions": 7}
-        assert gauges == {"kernel.frontier_high_water": 4}
-        assert {s[0] for s in spans} == {"worker.closure", "kernel.closure"}
-        assert "worker.closure.seconds" in hists
-        counts, sum_seconds = hists["worker.closure.seconds"]
-        assert sum(counts) == 1 and sum_seconds >= 0.0
-
-    def test_absorb_merges_spans_counters_and_gauges(self):
-        batch = self._worker_batch()
-        obs.enable(reset=True)
-        obs.count("kernel.pair_expansions", 1)
-        obs.absorb_batch(batch)
-        snap = obs.snapshot()
-        assert snap.counters["kernel.pair_expansions"] == 8
-        assert snap.gauges["kernel.frontier_high_water"] == 4
-        assert {s.name for s in snap.spans} == {
-            "worker.closure",
-            "kernel.closure",
-        }
-
-    def test_absorb_preserves_parent_links_and_remaps_ids(self):
-        batch = self._worker_batch()
-        obs.enable(reset=True)
-        with obs.span("engine.warm"):
-            obs.absorb_batch(batch)
-        spans = {s.name: s for s in obs.snapshot().spans}
-        assert (
-            spans["kernel.closure"].parent_id
-            == spans["worker.closure"].span_id
-        )
-        ids = [s.span_id for s in obs.snapshot().spans]
-        assert len(ids) == len(set(ids)), "absorbed ids must not collide"
-
-    def test_absorb_rebases_worker_clock(self):
-        import time
-
-        batch = self._worker_batch()
-        obs.enable(reset=True)
-        obs.absorb_batch(batch)
-        now = time.perf_counter_ns()
-        for s in obs.snapshot().spans:
-            assert s.start_ns + s.duration_ns <= now
-
-    def test_absorb_is_noop_when_disabled_or_empty(self):
-        batch = self._worker_batch()
-        obs.enable(reset=True)
-        obs.disable()
-        obs.absorb_batch(batch)
-        obs.enable()
-        obs.absorb_batch(None)
-        assert obs.snapshot().spans == ()
 
 
 class TestExporters:

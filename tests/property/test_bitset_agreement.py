@@ -153,7 +153,7 @@ def test_pool_bitset_closures_identical_to_serial_scalar(seed):
     pooled = DependencyEngine(system, kernel="bitset")
     serial = DependencyEngine(system, kernel="scalar")
     family = [frozenset([n]) for n in system.space.names]
-    pooled._warm(family, phi, max_workers=2, executor="process")
+    pooled._warm(family, phi, max_workers=2)
     for source_set in family:
         p_closure = pooled._closure(source_set, phi)
         s_closure = serial._closure(source_set, phi)

@@ -306,8 +306,8 @@ class TestFlightRecorder:
         asyncio.run(body())
 
     def test_prewarm_session_spans_carry_the_request_trace(self):
-        """Pool-worker (or degraded thread/serial) closure spans from
-        the prewarm fan-out absorb under the creating request's trace."""
+        """Closure spans from the session prewarm carry the creating
+        request's trace."""
         async def body():
             obs.enable(reset=True)
             async with serving() as server:
@@ -323,11 +323,7 @@ class TestFlightRecorder:
                 }
                 assert "serve.session.create" in names
                 assert "serve.warm" in names and "engine.warm" in names
-                # Whichever ladder rung ran the closures, their spans
-                # carry the request's trace.
-                assert names & {
-                    "worker.closure", "engine.closure", "kernel.closure"
-                }, names
+                assert names & {"engine.closure", "kernel.closure"}, names
 
         asyncio.run(body())
 

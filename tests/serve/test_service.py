@@ -1,9 +1,9 @@
 """Functional contract of the serve layer: routes, verdict parity with
 the CLI path, quotas, shedding, deadline propagation, drain.
 
-The chaos counterparts (injected worker kill, store corruption, storms)
-live in ``tests/chaos/test_serve_chaos.py``; this file pins the sunny-day
-and plain-overload behavior every chaos test builds on.
+The chaos counterparts (injected request errors, store corruption,
+storms) live in ``tests/chaos/test_serve_chaos.py``; this file pins the
+sunny-day and plain-overload behavior every chaos test builds on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import pytest
 from repro.cli import parse_domain
 from repro.core import faults
 from repro.serve.admission import AdmissionController, RequestQuota, ShedError
-from repro.serve.breaker import CLOSED, OPEN, CircuitBreaker
 from repro.systems.program import build_program_system, program_transmits
 
 from tests.serve.helpers import PROGRAM, VARS, create_session, rpc, serving
@@ -209,6 +208,26 @@ def test_drain_finishes_inflight_and_flushes_store(tmp_path):
     asyncio.run(body())
 
 
+def test_prewarmed_session_answers_first_queries_from_the_store(tmp_path):
+    """Prewarm computes the closures queries read — one per program
+    variable under ``pc = entry`` — so with a store attached every
+    variable's first query is a memo hit served from the store tier."""
+    async def body():
+        async with serving(store=str(tmp_path / "memo.sqlite")) as server:
+            key = await create_session(server, prewarm=True)
+            for source in VARS:
+                target = "out" if source != "out" else "secret"
+                status, doc = await rpc(
+                    server.port, "POST", "/v1/query",
+                    {"session": key, "source": source, "target": target},
+                )
+                assert status == 200, doc
+                assert "memo=hit" in doc["provenance"], (source, doc)
+                assert "store=hit" in doc["provenance"], (source, doc)
+
+    asyncio.run(body())
+
+
 def test_readyz_reflects_draining():
     async def body():
         async with serving() as server:
@@ -261,28 +280,3 @@ def test_admission_controller_bounds():
         assert controller.stats()["shed_queue_full"] == 1
 
     asyncio.run(body())
-
-
-def test_breaker_transitions():
-    clock = [0.0]
-    breaker = CircuitBreaker(backoff_base=1.0, backoff_cap=4.0,
-                             clock=lambda: clock[0])
-    assert breaker.state == CLOSED
-    assert breaker.executor_hint() == "process"
-    breaker.record_failure()
-    assert breaker.state == OPEN
-    assert breaker.executor_hint() == "thread"
-    assert not breaker.should_probe()  # cooldown not elapsed
-    clock[0] = 1.5
-    assert breaker.should_probe()
-    breaker.begin_probe()
-    breaker.probe_failed()  # backoff doubles: 2.0s from now
-    clock[0] = 2.0
-    assert not breaker.should_probe()
-    clock[0] = 4.0
-    assert breaker.should_probe()
-    breaker.begin_probe()
-    breaker.probe_succeeded()
-    assert breaker.state == CLOSED
-    stats = breaker.stats()
-    assert stats["trips"] == 1 and stats["recoveries"] == 1
