@@ -19,8 +19,8 @@ bench:
 	$(PYTHONPATH_SRC) python -m pytest benchmarks/ --benchmark-only
 
 # Smoke-run the A3/A4/A5/A6/A7 perf benches on tiny sizes: exercises the
-# measured paths (seed / object engine / compiled kernel / bitset kernel /
-# telemetry on+off / persistent store cold-vs-warm / compiled quantitative
+# measured paths (seed / compiled kernel / bitset kernel / telemetry
+# on+off / persistent store cold-vs-warm / compiled quantitative
 # substrate vs object channel path) and their agreement asserts without
 # recording numbers or enforcing most bars.  The A6 bench always uses
 # fresh tmp store paths and asserts its cold legs saw zero hits, so a

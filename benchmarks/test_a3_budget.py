@@ -1,13 +1,17 @@
 """A3 (robustness): overhead of the execution governor on the hot loop.
 
 PR 4 threads an optional :class:`~repro.core.budget.BudgetMeter` through
-the compiled closure BFS.  The unmetered loop is untouched (``meter is
-None`` keeps the pristine fast path), and the governed loop checks its
-budget only every ``check_interval`` expansions — so a *generous* budget
-(one that never trips) must cost nearly nothing.  This benchmark pins
-that down on the xor ring, the dense-closure regime where per-expansion
-costs dominate: the acceptance bar is **governed <= 1.05x ungoverned**
-(<5% overhead) at the largest case, recorded in ``BENCH_budget.json``.
+the compiled closure BFS, which checks its budget only every
+``check_interval`` expansions — so a *generous* budget (one that never
+trips) must cost nearly nothing.  This benchmark pins that down on the
+xor ring, the dense-closure regime where per-expansion costs dominate:
+the acceptance bar is **governed <= 1.05x ungoverned** (<5% overhead) at
+the largest case, recorded in ``BENCH_budget.json``.
+
+The engines here use the default ``auto`` kernel selection, so the
+full-size cases (128 and 256 states) run the NumPy bitset kernel, which
+meters per chunk; they never run the scalar loop.  The scalar loop's
+own ungoverned cost is measured with ``kernel="scalar"`` engines.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the case and skips the bar/recording —
 it checks the benchmark runs and the governed matrix agrees, not speed.

@@ -261,6 +261,16 @@ def test_a7_capacity_compiled_vs_object(show):
         )
 
 
+def _curve_row(quant, dist, source, history, k):
+    """One curve point: ``(k, equivocation-measure bits, averaged bits,
+    seconds)``, timed on its own.  Composed prefixes are memoized, so a
+    row's time is the cost of extending the previous row's history."""
+    start = time.perf_counter()
+    bits = quant.bits_transmitted(dist, {source}, "beta", history)
+    averaged = quant.bits_transmitted_averaged(dist, {source}, "beta", history)
+    return k, bits, averaged, time.perf_counter() - start
+
+
 def test_a7_bits_per_operation_curves(show):
     # Access-matrix family: the guarded copy transmits alpha -> beta
     # only where the rights allow it (2048 states).
@@ -274,16 +284,10 @@ def test_a7_bits_per_operation_curves(show):
     quant = QuantEngine(ams.system)
     dist = quant.uniform()
 
-    am_rows = []
-    start = time.perf_counter()
-    for k in range(CURVE_LENGTH + 1):
-        h = History([copy] * k)
-        am_rows.append((
-            k,
-            quant.bits_transmitted(dist, {"alpha"}, "beta", h),
-            quant.bits_transmitted_averaged(dist, {"alpha"}, "beta", h),
-        ))
-    am_seconds = time.perf_counter() - start
+    am_rows = [
+        _curve_row(quant, dist, "alpha", History([copy] * k), k)
+        for k in range(CURVE_LENGTH + 1)
+    ]
     assert am_rows[0][1] == 0.0 and am_rows[0][2] == 0.0
     assert am_rows[1][2] > 0.0  # the copy does transmit where allowed
     # The guarded copy is idempotent: the curve is flat after one use.
@@ -299,16 +303,10 @@ def test_a7_bits_per_operation_curves(show):
     pdist = pq.uniform(ps.entry_constraint())
     ops = ps.system.operations
 
-    prog_rows = []
-    start = time.perf_counter()
-    for k in range(len(ops) + 1):
-        h = History(ops[:k])
-        prog_rows.append((
-            k,
-            pq.bits_transmitted(pdist, {"alpha1"}, "beta", h),
-            pq.bits_transmitted_averaged(pdist, {"alpha1"}, "beta", h),
-        ))
-    prog_seconds = time.perf_counter() - start
+    prog_rows = [
+        _curve_row(pq, pdist, "alpha1", History(ops[:k]), k)
+        for k in range(len(ops) + 1)
+    ]
     assert prog_rows[0][1] == 0.0 and prog_rows[0][2] == 0.0
     # One accumulation: beta holds beta0 + alpha1 — all 4 bits under the
     # averaged measure, zero under the equivocation measure (beta0 pads).
@@ -317,31 +315,31 @@ def test_a7_bits_per_operation_curves(show):
     assert math.isclose(prog_rows[2][2], 4.0, abs_tol=1e-9)
 
     if not QUICK:
-        for k, bits, averaged in am_rows:
+        for k, bits, averaged, seconds in am_rows:
             _record("access_matrix_curve", {
                 "n": k,
                 "states": ams.space.size,
                 "bits_equivocation_measure": round(bits, 6),
                 "bits_averaged_measure": round(averaged, 6),
-                "seconds_total": round(am_seconds, 6),
+                "seconds": round(seconds, 6),
             })
-        for k, bits, averaged in prog_rows:
+        for k, bits, averaged, seconds in prog_rows:
             _record("program_curve", {
                 "n": k,
                 "states": ps.space.size,
                 "bits_equivocation_measure": round(bits, 6),
                 "bits_averaged_measure": round(averaged, 6),
-                "seconds_total": round(prog_seconds, 6),
+                "seconds": round(seconds, 6),
             })
 
     table = Table(
         ["family", "states", "|H|", "equivocation measure", "averaged"],
         title="A7: bits per operation (compiled path)",
     )
-    for k, bits, averaged in am_rows:
+    for k, bits, averaged, _ in am_rows:
         table.add("access_matrix", ams.space.size, k,
                   f"{bits:.4f}", f"{averaged:.4f}")
-    for k, bits, averaged in prog_rows:
+    for k, bits, averaged, _ in prog_rows:
         table.add("program", ps.space.size, k,
                   f"{bits:.4f}", f"{averaged:.4f}")
     show(table)

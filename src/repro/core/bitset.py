@@ -15,8 +15,7 @@ operations over *frontiers*:
   every pair in the chunk at once, successors are canonicalized
   (``min``/``max``), diagonal pairs masked out, and the surviving
   candidates deduplicated *in first-occurrence order* before being
-  appended — the NumPy path does all of this as array expressions, the
-  pure-Python fallback as tight local loops over the same flat arrays.
+  appended, all as NumPy array expressions.
 - **Vectorized seeding and scans.**  The Def 1-1 bucket seeding and the
   Def 5-5/5-7 column scans reduce to arithmetic on the id arrays
   (rest-key subtraction, ``unique``, column-compare masks); see
@@ -34,10 +33,10 @@ to the scalar kernel's, not merely equivalent (property-tested in
 ``tests/property/test_bitset_agreement.py``; the layer-order argument
 is spelled out in docs/FORMALISM.md, "Bitset frontier closure").
 
-The NumPy path is optional: it engages when :mod:`numpy` imports and
-``REPRO_BITSET_NUMPY`` is not ``"0"``; otherwise the pure-Python bulk
-path (bytearray bitset, flat arrays) runs, and the scalar kernel remains
-the reference both degrade to.  Budgets are metered in frontier-sized
+The kernel needs NumPy: it engages when :mod:`numpy` imports and
+``REPRO_BITSET_NUMPY`` is not ``"0"``, and otherwise the engine runs
+every closure on the scalar kernel (measured faster than a pure-Python
+bulk loop on the same tables).  Budgets are metered in frontier-sized
 steps via :meth:`~repro.core.budget.BudgetMeter.advance`; trip *points*
 therefore differ from the scalar kernel's per-256-expansion checks, but
 trip semantics (zero-expansion budgets, completed-run-is-exact
@@ -52,8 +51,9 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.budget import BudgetMeter
 
-#: Feature flag for the NumPy bulk path: set to "0" to force the
-#: pure-Python bitset fallback even when numpy is importable.
+#: Feature flag for the NumPy paths: set to "0" to run closures on the
+#: scalar kernel and the column scans as scalar sweeps even when numpy
+#: is importable.
 ENV_NUMPY_FLAG = "REPRO_BITSET_NUMPY"
 
 #: Packed-parent sentinel for Def 2-8 initial pairs (kept numerically
@@ -193,42 +193,34 @@ class PackedParents(Mapping):
 class BitsetKernel:
     """Bulk-expansion twin of a scalar ``CompiledKernel``.
 
-    Wraps the scalar kernel's flat tables (which may be ``array('L')``
-    or shared-memory ``memoryview`` casts — both are plain buffers) and
-    answers :meth:`closure` with byte-identical ``order``/parents.  The
-    NumPy path keeps int64 copies of the successor and column tables as
-    one matrix each; the pure path reuses the scalar buffers directly.
+    Wraps the scalar kernel's flat ``array('L')`` tables and answers
+    :meth:`closure` with byte-identical ``order``/parents, keeping an
+    int64 copy of the successor tables as one matrix.  Raises
+    ``RuntimeError`` when NumPy is unavailable (see :func:`load_numpy`).
     """
 
     __slots__ = ("scalar", "np", "_succ_t", "_code_dtype", "_triu_cache")
 
-    def __init__(self, scalar, use_numpy: bool | None = None) -> None:
+    def __init__(self, scalar) -> None:
         self.scalar = scalar
-        self.np = load_numpy() if use_numpy in (None, True) else None
-        if use_numpy is True and self.np is None:
-            raise RuntimeError("numpy path requested but unavailable")
-        if self.np is not None:
-            np = self.np
-            n = scalar.n
-            # Pair codes fit int32 up to ~46k states; the narrower dtype
-            # halves the memory traffic of the hot loop.
-            self._code_dtype = np.int32 if n * n < 2**31 else np.int64
-            if scalar.successors:
-                # Stored state-major (n, n_ops) and C-contiguous: the
-                # per-chunk gather ``succ_t[ids]`` then copies whole
-                # rows and lands directly in the (pair, op) layout the
-                # discovery order needs — no transpose copies later.
-                stacked = np.stack(
-                    [_flat_int64(np, s) for s in scalar.successors]
-                )
-                self._succ_t = np.ascontiguousarray(
-                    stacked.T.astype(self._code_dtype)
-                )
-            else:
-                self._succ_t = np.empty((n, 0), dtype=self._code_dtype)
+        self.np = np = load_numpy()
+        if np is None:
+            raise RuntimeError("the bitset kernel requires numpy")
+        n = scalar.n
+        # Pair codes fit int32 up to ~46k states; the narrower dtype
+        # halves the memory traffic of the hot loop.
+        self._code_dtype = np.int32 if n * n < 2**31 else np.int64
+        if scalar.successors:
+            # Stored state-major (n, n_ops) and C-contiguous: the
+            # per-chunk gather ``succ_t[ids]`` then copies whole rows and
+            # lands directly in the (pair, op) layout the discovery order
+            # needs — no transpose copies later.
+            stacked = np.stack([_flat_int64(np, s) for s in scalar.successors])
+            self._succ_t = np.ascontiguousarray(
+                stacked.T.astype(self._code_dtype)
+            )
         else:
-            self._succ_t = None
-            self._code_dtype = None
+            self._succ_t = np.empty((n, 0), dtype=self._code_dtype)
         self._triu_cache: dict[int, tuple] = {}
 
     # -- Def 1-1 seeding ------------------------------------------------------
@@ -293,13 +285,8 @@ class BitsetKernel:
     ) -> tuple[array, Mapping[int, int]]:
         """Bulk counterpart of ``CompiledKernel.closure`` — identical
         contract, identical output sequence.  Parents come back as
-        :class:`PackedParents` on the NumPy path and a plain dict on the
-        pure path; both satisfy the scalar mapping interface."""
-        if self.np is not None:
-            return self._closure_numpy(source_indices, sat_ids, meter, stats)
-        return self._closure_pure(source_indices, sat_ids, meter, stats)
-
-    def _closure_numpy(self, source_indices, sat_ids, meter, stats):
+        :class:`PackedParents`, which satisfies the scalar kernel's
+        mapping interface."""
         np = self.np
         scalar = self.scalar
         n = scalar.n
@@ -411,80 +398,6 @@ class BitsetKernel:
             else parent_parts[0]
         )
         return _as_code_array(np, order_np), PackedParents(order_np, packed_np)
-
-    def _closure_pure(self, source_indices, sat_ids, meter, stats):
-        """The dependency-free bulk path: same frontier-at-a-time
-        structure and metering as the NumPy path, with membership in a
-        bytearray bitset (one bit per canonical pair code) and the
-        scalar flat tables read directly."""
-        scalar = self.scalar
-        n = scalar.n
-        successors = scalar.successors
-        n_ops_or1 = len(successors) or 1
-        visited = bytearray((n * n + 7) >> 3)
-        order: list[int] = []
-        packed_parents: list[int] = []
-        for bucket in scalar.buckets(source_indices, sat_ids).values():
-            m = len(bucket)
-            for a in range(m - 1):
-                base = bucket[a] * n
-                for b in range(a + 1, m):
-                    pair = base + bucket[b]
-                    visited[pair >> 3] |= 1 << (pair & 7)
-                    order.append(pair)
-                    packed_parents.append(INITIAL)
-        if meter is not None:
-            meter.check(0, len(order), len(order))
-        cursor = 0
-        expanded = 0
-        levels = 0
-        max_frontier = len(order)
-        record = order.append
-        record_parent = packed_parents.append
-        try:
-            while cursor < len(order):
-                level_end = len(order)
-                levels += 1
-                frontier = level_end - cursor
-                if frontier > max_frontier:
-                    max_frontier = frontier
-                while cursor < level_end:
-                    chunk_end = min(cursor + CHUNK_PAIRS, level_end)
-                    chunk_size = chunk_end - cursor
-                    for pos in range(cursor, chunk_end):
-                        pair = order[pos]
-                        i, j = divmod(pair, n)
-                        packed = pair * n_ops_or1
-                        for successor in successors:
-                            si = successor[i]
-                            sj = successor[j]
-                            if si != sj:
-                                code = (
-                                    si * n + sj if si < sj else sj * n + si
-                                )
-                                byte = code >> 3
-                                bit = 1 << (code & 7)
-                                if not visited[byte] & bit:
-                                    visited[byte] |= bit
-                                    record(code)
-                                    record_parent(packed)
-                            packed += 1
-                    cursor = chunk_end
-                    expanded += chunk_size
-                    if meter is not None:
-                        # Remaining work = everything discovered but not
-                        # yet expanded; zero exactly at completion.
-                        meter.advance(
-                            chunk_size, len(order), len(order) - cursor
-                        )
-        finally:
-            if stats is not None:
-                stats["expansions"] = expanded
-                stats["discovered"] = len(order)
-                stats["frontier_high_water"] = max_frontier
-                stats["levels"] = levels
-        return array("L", order), dict(zip(order, packed_parents))
-
 
 # -- vectorized column scans --------------------------------------------------
 

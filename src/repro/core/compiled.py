@@ -1,12 +1,10 @@
 """Compiled integer kernel for the pair-graph decision procedure.
 
 The exact decision ``A |>_phi beta`` (Def 2-7/2-11) is a BFS over the
-pair graph, and PR 1's :class:`~repro.core.engine.DependencyEngine`
-already shares one closure per ``(A, phi)``.  Its hot loop, however,
-still manipulates :class:`~repro.core.state.State` objects: every edge
-hashes a ``(State, State)`` tuple and every stopping test compares
-Python values field by field.  This module compiles the whole decision
-down to integers:
+pair graph.  Run over :class:`~repro.core.state.State` objects, as the
+seed reference checkers do, every edge hashes a ``(State, State)`` tuple
+and every stopping test compares Python values field by field.  This
+module compiles the whole decision down to integers:
 
 1. **Dense state ids.**  The space is enumerated once, in its canonical
    ``Space.states()`` order, and each state becomes its index ``i`` in
@@ -44,6 +42,7 @@ The kernel (:class:`CompiledKernel`) is deliberately free of ``State``,
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
 from collections import deque
@@ -51,7 +50,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro import obs
 from repro.core import bitset
-from repro.core.budget import BudgetMeter
+from repro.core.budget import CHECK_INTERVAL, BudgetMeter
 from repro.core.cache import LRUCache
 from repro.core.constraints import Constraint
 from repro.core.state import State, Value
@@ -150,8 +149,7 @@ class CompiledKernel:
         encoded pairs ``i * n + j`` (``i < j``) in BFS layer order, and
         ``parents[pair]`` packs the predecessor as
         ``parent_pair * len(ops) + op_index`` (or :data:`INITIAL` for
-        Def 2-8 seeds).  This is the process-parallel unit of work: pure
-        int arithmetic, no object hashing.
+        Def 2-8 seeds).  Pure int arithmetic, no object hashing.
 
         Diagonal pairs (two equal components) are pruned: they differ
         nowhere, and equal states have equal successors, so no stopping
@@ -163,10 +161,13 @@ class CompiledKernel:
         ``meter.interval`` expansions, raising
         :class:`~repro.core.budget.BudgetExceededError` with the partial
         counts.  With a ``stats`` dict (passed only when telemetry is
-        enabled) the loop additionally tracks the frontier high-water
-        mark and writes ``expansions`` / ``discovered`` /
-        ``frontier_high_water`` into it.  The plain loop is kept
-        separate so ungoverned, untraced runs pay nothing.
+        enabled) the loop writes ``expansions`` / ``discovered`` /
+        ``frontier_high_water`` into it; the frontier is sampled at each
+        check (every ``meter.interval`` expansions, or every
+        :data:`~repro.core.budget.CHECK_INTERVAL` when ungoverned), so
+        the high-water mark is a sampled lower bound.  An ungoverned,
+        untraced run sets the next check to a sentinel it never reaches,
+        so one loop serves every case.
         """
         n = self.n
         successors = self.successors
@@ -187,8 +188,26 @@ class CompiledKernel:
         order = list(seed)
         record = order.append
         cursor = 0
-        if meter is None and stats is None:
+        max_frontier = len(order)
+        # Amortized checks: a zero-expansion budget trips before the
+        # first pair is expanded.
+        if meter is not None:
+            meter.check(0, len(parents), len(order))
+            interval = meter.interval
+        elif stats is not None:
+            interval = CHECK_INTERVAL
+        else:
+            interval = sys.maxsize
+        next_check = interval
+        try:
             while cursor < len(order):
+                if cursor >= next_check:
+                    frontier = len(order) - cursor
+                    if frontier > max_frontier:
+                        max_frontier = frontier
+                    if meter is not None:
+                        meter.check(cursor, len(parents), frontier)
+                    next_check = cursor + interval
                 pair = order[cursor]
                 cursor += 1
                 i, j = divmod(pair, n)
@@ -208,39 +227,6 @@ class CompiledKernel:
                             parents[succ_pair] = packed
                             record(succ_pair)
                     packed += 1
-            return array("L", order), parents
-        # Governed/traced variant: identical body plus an amortized
-        # budget check every `interval` expansions (a zero-expansion
-        # budget trips before the first pair is expanded) and, when
-        # requested, frontier high-water tracking.
-        if meter is not None:
-            interval = meter.interval
-            meter.check(0, len(parents), len(order))
-        else:
-            interval = 0
-        next_check = interval
-        max_frontier = len(order)
-        try:
-            while cursor < len(order):
-                frontier = len(order) - cursor
-                if frontier > max_frontier:
-                    max_frontier = frontier
-                if meter is not None and cursor >= next_check:
-                    meter.check(cursor, len(parents), frontier)
-                    next_check = cursor + interval
-                pair = order[cursor]
-                cursor += 1
-                i, j = divmod(pair, n)
-                packed = pair * n_ops
-                for successor in successors:
-                    si = successor[i]
-                    sj = successor[j]
-                    if si != sj:
-                        succ_pair = si * n + sj if si < sj else sj * n + si
-                        if succ_pair not in parents:
-                            parents[succ_pair] = packed
-                            record(succ_pair)
-                    packed += 1
         finally:
             if stats is not None:
                 stats["expansions"] = cursor
@@ -253,9 +239,9 @@ class CompiledSystem:
     """A :class:`~repro.core.system.System` compiled to integer tables.
 
     Enumerates the space once (executing each operation exactly once per
-    state — the same budget as PR 1's transition tabulation), then serves
-    every pair-graph question from :attr:`kernel`.  ``State`` objects are
-    kept only for decoding ids back at the API boundary.
+    state), then serves every pair-graph question from :attr:`kernel`.
+    ``State`` objects are kept only for decoding ids back at the API
+    boundary.
     """
 
     __slots__ = ("system", "states", "kernel", "_bitset", "_lock", "_sat_ids", "_composed")
@@ -457,7 +443,7 @@ class CompiledSystem:
         meter: BudgetMeter | None = None,
         mode: str = "scalar",
     ) -> "CompiledClosure":
-        """Compute one canonical-pair closure in this process.
+        """Compute one canonical-pair closure.
 
         ``mode`` selects the kernel: ``"scalar"`` runs the per-pair loop
         above, ``"bitset"`` the bulk frontier kernel
@@ -503,7 +489,6 @@ class CompiledSystem:
 class CompiledClosure:
     """A canonical unordered-pair closure in integer form.
 
-    The compiled analogue of :class:`~repro.core.engine.PairClosure`:
     ``order`` lists encoded pairs in BFS (shortest-path) order and
     ``parents`` packs predecessor pointers, so every target — single or
     set-valued — is answered by integer column comparisons, and decoding

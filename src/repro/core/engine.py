@@ -13,15 +13,16 @@ traversals n times over.
 
 :class:`DependencyEngine` fixes that:
 
-1. **Compiled integer kernel** (default).  The system is compiled once by
+1. **Compiled integer kernel.**  The system is compiled once by
    :class:`~repro.core.compiled.CompiledSystem`: dense state ids, one flat
    successor array per operation, per-object value columns.  The BFS then
    runs over *canonical unordered* pairs encoded as single ints — sound by
    the swap-symmetry lemma (docs/FORMALISM.md), and roughly half the
-   nodes of the ordered pair graph with O(1) integer work per edge.
-   ``compiled=False`` keeps the PR-1 object path (tabulated ``State``
-   dicts, ordered pairs) as the in-tree reference the property tests and
-   benchmarks compare against.
+   nodes of the ordered pair graph with O(1) integer work per edge.  A
+   closure runs on the scalar loop (small spaces, or no NumPy) or the
+   NumPy bitset kernel; the seed per-query checkers in
+   :mod:`repro.core.reachability` and :mod:`repro.core.dependency` stay
+   as the reference the property tests compare against.
 2. **One closure per (A, phi), memoized.**  The full reachable pair set is
    computed once — with parent pointers and in BFS (shortest-path) order —
    and cached on the engine.  :meth:`depends_ever` then answers *every*
@@ -58,7 +59,7 @@ from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
-from repro.core import faults
+from repro.core import bitset, faults
 from repro.core.budget import (
     BudgetExceededError,
     BudgetMeter,
@@ -80,7 +81,7 @@ from repro.core.store import PersistentStore, sat_key
 from repro.core.dependency import DependencyResult, Witness
 from repro.core.errors import ConstraintError, ForeignOperationError
 from repro.core.state import State
-from repro.core.system import History, Operation, System, transition_table
+from repro.core.system import History, Operation, System
 from repro.obs.provenance import Provenance
 
 Pair = tuple[State, State]
@@ -127,85 +128,6 @@ def _resolve_kernel_mode(kernel: str | None) -> str:
     return kernel
 
 
-class PairClosure:
-    """The reachable pair set for one ``(A, phi)`` — target-independent.
-
-    ``pairs`` lists every reachable pair in BFS order (so the first pair
-    satisfying any stopping test yields a shortest witness); ``parents``
-    maps each pair to ``(predecessor pair, operation name)``, or ``None``
-    for the Def 2-8 initial pairs.
-
-    On a compiled engine the pairs are *canonical* (unordered, decoded
-    with the lower state id first); on the PR-1 object path they are the
-    ordered pairs the original BFS explored.  Shortest-path structure is
-    identical either way (swap-symmetry lemma, docs/FORMALISM.md).
-    """
-
-    __slots__ = ("sources", "constraint_name", "pairs", "parents", "_first_diff")
-
-    def __init__(
-        self,
-        sources: frozenset[str],
-        constraint_name: str,
-        pairs: tuple[Pair, ...],
-        parents: Mapping[Pair, tuple[Pair, str] | None],
-    ) -> None:
-        self.sources = sources
-        self.constraint_name = constraint_name
-        self.pairs = pairs
-        self.parents = parents
-        self._first_diff: dict[str, Pair] | None = None
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def first_differing(self) -> Mapping[str, Pair]:
-        """For each object name, the earliest reachable pair differing
-        there (one sweep over the BFS order, cached).
-
-        A name absent from the mapping is one no reachable pair
-        distinguishes — i.e. ``not (A |>_phi name)``.
-        """
-        if self._first_diff is None:
-            first: dict[str, Pair] = {}
-            for pair in self.pairs:
-                s1, s2 = pair
-                for name in s1.differs_at(s2):
-                    if name not in first:
-                        first[name] = pair
-            self._first_diff = first
-        return self._first_diff
-
-    def first_differing_at_all(self, targets: Iterable[str]) -> Pair | None:
-        """The earliest reachable pair differing at *every* object of the
-        target set (Def 5-5/5-7), or ``None``."""
-        first = self.first_differing()
-        target_list = sorted(targets)
-        # If some member of B is never distinguished, no pair differs at
-        # all of B; skip the scan entirely.
-        if not all(t in first for t in target_list):
-            return None
-        for pair in self.pairs:
-            s1, s2 = pair
-            if all(s1[t] != s2[t] for t in target_list):
-                return pair
-        return None
-
-    def witness_path(self, pair: Pair) -> tuple[tuple[str, ...], Pair]:
-        """The operation names leading from an initial pair to ``pair``,
-        plus that initial pair (the witness ``sigma1, sigma2``)."""
-        ops: list[str] = []
-        cursor = pair
-        while True:
-            parent = self.parents[cursor]
-            if parent is None:
-                break
-            cursor, op_name = parent
-            ops.append(op_name)
-        ops.reverse()
-        return tuple(ops), cursor
-
-
 class DependencyEngine:
     """Answers exact existential-history dependency queries from shared,
     memoized pair-graph closures.
@@ -225,17 +147,14 @@ class DependencyEngine:
     def __init__(
         self,
         system: System,
-        compiled: bool = True,
         budget: ExecutionBudget | None = None,
         kernel: str | None = None,
         store: "PersistentStore | str | os.PathLike | None" = None,
     ) -> None:
         self.system = system
-        self._use_compiled = compiled
         #: Optional persistent memo store (a :class:`PersistentStore`, a
         #: path, or ``None``): a third memo tier below the RAM dicts —
-        #: RAM -> disk -> compute.  Compiled engines only; the object
-        #: path has no canonical integer encoding to key rows by.
+        #: RAM -> disk -> compute.
         self._store = PersistentStore.coerce(store)
         self._store_hash: str | None = None
         #: Kernel selection (see :data:`~repro.core.compiled.KERNEL_MODES`):
@@ -254,12 +173,8 @@ class DependencyEngine:
         #: and per warm fan-out (degradations, executor that finished).
         self.execution_log = ExecutionLog()
         self._compiled: CompiledSystem | None = None
-        self._tables: tuple[tuple[str, Mapping[State, State]], ...] | None = None
         self._closures: dict[
-            tuple[frozenset[str], Constraint | None], PairClosure | CompiledClosure
-        ] = {}
-        self._decoded: dict[
-            tuple[frozenset[str], Constraint | None], PairClosure
+            tuple[frozenset[str], Constraint | None], CompiledClosure
         ] = {}
         self._step_flows: dict[
             Constraint | None, dict[str, frozenset[tuple[str, str]]]
@@ -268,7 +183,6 @@ class DependencyEngine:
         self._op_position: dict[str, int] = {
             op.name: k for k, op in enumerate(self._ops)
         }
-        self._history_maps: dict[tuple[int, ...], Mapping[State, State]] = {}
         # Bounded LRU memos (see _LRUCache): keys are
         # (A, op-indices, flow-key) and (A, op-indices, flow-key, B);
         # values are target->pair tables and set-target pairs (or None).
@@ -284,13 +198,6 @@ class DependencyEngine:
         #: session engine concurrently, and without these two threads
         #: missing the same key would run the same BFS twice.
         self._flights: dict[object, threading.Lock] = {}
-        #: Closure request counts per (A, phi) key — every `_closure_info`
-        #: call increments, memo hit or miss, so the ranking reflects
-        #: demand, not cache state.  Feeds :meth:`hot_closures` and the
-        #: hotness-first ordering of warm fan-outs.
-        self._hotness: dict[
-            tuple[frozenset[str], Constraint | None], int
-        ] = {}
         self._lock = threading.Lock()
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
@@ -315,15 +222,12 @@ class DependencyEngine:
         with self._lock:
             return {
                 "closures": {"size": len(self._closures)},
-                "decoded": {"size": len(self._decoded)},
                 "step_flows": {"size": len(self._step_flows)},
-                "history_maps": {"size": len(self._history_maps)},
                 "history_tables": self._history_tables.stats(),
                 "history_set": self._history_set_memo.stats(),
                 "buckets": self._bucket_memo.stats(),
                 "kernel_composed": kernel_stats["composed"],
                 "kernel_sat_ids": kernel_stats["sat_ids"],
-                "hot_closures": {"size": len(self._hotness)},
                 "store": store_stats,
             }
 
@@ -361,11 +265,10 @@ class DependencyEngine:
         with self._lock:
             closures = list(self._closures.items())
         for (_, constraint), closure in closures:
-            if isinstance(closure, CompiledClosure):
-                store.save_closure(
-                    self._store_hash, self._constraint_key(constraint), closure
-                )
-                written += 1
+            store.save_closure(
+                self._store_hash, self._constraint_key(constraint), closure
+            )
+            written += 1
         for (source_set, indices, flow_key), table in self._history_tables.items():
             store.save_history_table(
                 self._store_hash,
@@ -379,11 +282,10 @@ class DependencyEngine:
 
     def _store_for(self) -> PersistentStore | None:
         """The store, ready to serve this engine — or ``None`` when no
-        store is attached, the engine is not compiled (no canonical
-        integer encoding to key by), or the store has degraded.  First
-        use registers the compiled kernel and caches the system hash."""
+        store is attached or the store has degraded.  First use registers
+        the compiled kernel and caches the system hash."""
         store = self._store
-        if store is None or not self._use_compiled or store.degraded:
+        if store is None or store.degraded:
             return None
         if self._store_hash is None:
             self._store_hash = store.register_system(self.compiled_system().kernel)
@@ -441,14 +343,13 @@ class DependencyEngine:
             )
         return closure
 
-    # -- compilation / transition tabulation ----------------------------------
+    # -- compilation ----------------------------------------------------------
 
     def compiled_system(self) -> CompiledSystem:
         """The integer-kernel compilation of the system, built once (lazy).
 
-        Compilation executes each operation exactly once per state — the
-        same budget PR 1's tabulation paid — and everything afterwards is
-        indexed array reads.
+        Compilation executes each operation exactly once per state, and
+        everything afterwards is indexed array reads.
         """
         if self._compiled is None:
             compiled = CompiledSystem(self.system)
@@ -456,40 +357,6 @@ class DependencyEngine:
                 if self._compiled is None:
                     self._compiled = compiled
         return self._compiled
-
-    def transition_tables(self) -> tuple[tuple[str, Mapping[State, State]], ...]:
-        """Every operation expanded into an explicit dict, once (lazy).
-
-        Order matches ``system.operations`` so BFS expansion order — and
-        therefore witness choice — is identical to the per-query BFS.  On
-        a compiled engine the dicts are decoded from the successor arrays,
-        so operations still execute exactly once per state overall.
-        """
-        if self._tables is None:
-            if self._use_compiled:
-                compiled = self.compiled_system()
-                states = compiled.states
-                tables = tuple(
-                    (
-                        name,
-                        {
-                            states[i]: states[successor[i]]
-                            for i in range(compiled.kernel.n)
-                        },
-                    )
-                    for name, successor in zip(
-                        compiled.kernel.op_names, compiled.kernel.successors
-                    )
-                )
-            else:
-                tables = tuple(
-                    (op.name, transition_table(self.system, op))
-                    for op in self.system.operations
-                )
-            with self._lock:
-                if self._tables is None:
-                    self._tables = tables
-        return self._tables
 
     # -- single-flight memo coordination --------------------------------------
 
@@ -562,8 +429,9 @@ class DependencyEngine:
         """The concrete kernel this engine's closures run on: ``scalar``
         or ``bitset``.  ``auto`` resolves by space size — bulk expansion
         only pays off once frontiers are wide, and small systems keep
-        their historical ``compiled`` provenance."""
-        if not self._use_compiled:
+        their historical ``compiled`` provenance.  Without NumPy (absent,
+        or ``REPRO_BITSET_NUMPY=0``) every mode runs the scalar loop."""
+        if bitset.load_numpy() is None:
             return "scalar"
         if self._kernel_mode == "auto":
             return (
@@ -578,12 +446,9 @@ class DependencyEngine:
         sources: Iterable[str],
         constraint: Constraint | None = None,
         budget: ExecutionBudget | None = None,
-    ) -> PairClosure | CompiledClosure:
-        """The memoized closure for ``(A, phi)`` in its native form:
-        :class:`~repro.core.compiled.CompiledClosure` on a compiled
-        engine, :class:`PairClosure` on the PR-1 object path.  Both
-        expose the same query surface (``first_differing``,
-        ``first_differing_at_all``, ``witness_path``).
+    ) -> CompiledClosure:
+        """The memoized :class:`~repro.core.compiled.CompiledClosure`
+        for ``(A, phi)``.
 
         Under a budget the BFS is metered; a trip raises
         :class:`~repro.core.budget.BudgetExceededError` and **nothing is
@@ -597,7 +462,7 @@ class DependencyEngine:
         sources: Iterable[str],
         constraint: Constraint | None = None,
         budget: ExecutionBudget | None = None,
-    ) -> tuple[PairClosure | CompiledClosure, bool, str]:
+    ) -> tuple[CompiledClosure, bool, str]:
         """:meth:`_closure` plus which memo tier served it — the memo
         outcome and store outcome feed the
         :class:`~repro.obs.provenance.Provenance` record every public
@@ -610,9 +475,6 @@ class DependencyEngine:
         key = (source_set, constraint)
         obs.count("engine.closure.requests")
         with self._lock:
-            # Hotness counts *requests* (hit or miss): the ranking that
-            # drives prewarm_hot and warm ordering reflects demand.
-            self._hotness[key] = self._hotness.get(key, 0) + 1
             cached = self._closures.get(key)
         if cached is not None:
             obs.count("engine.closure.memo_hit")
@@ -645,18 +507,13 @@ class DependencyEngine:
                     sources=",".join(sorted(source_set)),
                     constraint=phi.name,
                 ):
-                    if self._use_compiled:
-                        closure: PairClosure | CompiledClosure = (
-                            self.compiled_system().closure(
-                                source_set,
-                                constraint,
-                                phi.name,
-                                meter,
-                                self._closure_mode(),
-                            )
-                        )
-                    else:
-                        closure = self._compute_closure(source_set, phi, meter)
+                    closure = self.compiled_system().closure(
+                        source_set,
+                        constraint,
+                        phi.name,
+                        meter,
+                        self._closure_mode(),
+                    )
             except BudgetExceededError as exc:
                 self.execution_log.record(
                     ExecutionReport(
@@ -678,7 +535,7 @@ class DependencyEngine:
                 )
             )
             obs.gauge_max("engine.closure.pairs", len(closure))
-            if store is not None and isinstance(closure, CompiledClosure):
+            if store is not None:
                 store.save_closure(
                     self._store_hash, self._constraint_key(constraint), closure
                 )
@@ -691,109 +548,12 @@ class DependencyEngine:
         finally:
             flight.release()
 
-    def pair_closure(
-        self,
-        sources: Iterable[str],
-        constraint: Constraint | None = None,
-    ) -> PairClosure:
-        """The full reachable pair set for ``(A, phi)`` as ``State``
-        pairs, memoized.  On a compiled engine this *decodes* the integer
-        closure (canonical pairs) at the API boundary; exact dependency
-        queries never pay this cost — use :meth:`depends_ever` and
-        friends for those."""
-        closure = self._closure(sources, constraint)
-        if isinstance(closure, PairClosure):
-            return closure
-        key = (closure.sources, constraint)
-        with self._lock:
-            decoded = self._decoded.get(key)
-        if decoded is not None:
-            return decoded
-        kernel = closure.compiled.kernel
-        states = closure.compiled.states
-        n = kernel.n
-        n_ops = len(kernel.op_names) or 1
-        pairs: list[Pair] = []
-        parents: dict[Pair, tuple[Pair, str] | None] = {}
-        for code in closure.order:
-            i, j = divmod(code, n)
-            pair = (states[i], states[j])
-            pairs.append(pair)
-            packed = closure.parents[code]
-            if packed < 0:
-                parents[pair] = None
-            else:
-                parent_code, d = divmod(packed, n_ops)
-                pi, pj = divmod(parent_code, n)
-                parents[pair] = ((states[pi], states[pj]), kernel.op_names[d])
-        decoded = PairClosure(
-            closure.sources, closure.constraint_name, tuple(pairs), parents
-        )
-        with self._lock:
-            return self._decoded.setdefault(key, decoded)
-
-    def _compute_closure(
-        self,
-        sources: frozenset[str],
-        phi: Constraint,
-        meter: BudgetMeter | None = None,
-    ) -> PairClosure:
-        """The PR-1 object-path BFS over ordered ``State`` pairs — kept as
-        the reference implementation for ``compiled=False`` engines.
-        Budget checks mirror the compiled kernel: once after seeding,
-        then every ``meter.interval`` expansions."""
-        from collections import deque
-
-        tables = self.transition_tables()
-        parents: dict[Pair, tuple[Pair, str] | None] = {}
-        queue: deque[Pair] = deque()
-        # Def 2-8 initial pairs: phi-states equal except at the source set,
-        # generated unordered-deduplicated in enumeration order (identical
-        # to the per-query BFS so shortest witnesses match).
-        buckets: dict[tuple, list[State]] = {}
-        for state in phi.states():
-            buckets.setdefault(state.restrict_away(sources), []).append(state)
-        for bucket in buckets.values():
-            for i, s1 in enumerate(bucket):
-                for s2 in bucket[i + 1 :]:
-                    pair = (s1, s2)
-                    if pair not in parents:
-                        parents[pair] = None
-                        queue.append(pair)
-        if meter is not None:
-            meter.check(0, len(parents), len(queue))
-        next_check = meter.interval if meter is not None else 0
-        # The compiled and object paths share the BFS counter names —
-        # "kernel" here means "the decision kernel", whichever loop runs.
-        traced = obs.is_enabled()
-        max_frontier = len(queue) if traced else 0
-        order: list[Pair] = []
-        while queue:
-            if traced and len(queue) > max_frontier:
-                max_frontier = len(queue)
-            if meter is not None and len(order) >= next_check:
-                meter.check(len(order), len(parents), len(queue))
-                next_check = len(order) + meter.interval
-            pair = queue.popleft()
-            order.append(pair)
-            s1, s2 = pair
-            for op_name, table in tables:
-                successor = (table[s1], table[s2])
-                if successor not in parents:
-                    parents[successor] = (pair, op_name)
-                    queue.append(successor)
-        if traced:
-            obs.count("kernel.pair_expansions", len(order))
-            obs.count("kernel.pairs_discovered", len(parents))
-            obs.gauge_max("kernel.frontier_high_water", max_frontier)
-        return PairClosure(sources, phi.name, tuple(order), parents)
-
     # -- single queries -------------------------------------------------------
 
     def _witness(
         self,
-        closure: PairClosure | CompiledClosure,
-        pair,
+        closure: CompiledClosure,
+        pair: int,
         targets: frozenset[str],
     ) -> Witness:
         op_names, initial = closure.witness_path(pair)
@@ -812,18 +572,16 @@ class DependencyEngine:
         budget: ExecutionBudget | None,
         witness: Witness | None = None,
         closure_pairs: int | None = None,
-        kernel: str | None = None,
+        kernel: str = "compiled",
         store: str = "off",
     ) -> Provenance:
         """The provenance record for one engine answer: which kernel
         decided it, whether the memo served it (and, with a persistent
         store attached, which tier — see
         :data:`~repro.obs.provenance.STORE_STATES`), and under what
-        budget.  ``kernel`` overrides the engine-level default with the
-        closure's own recorded path (``compiled-bitset`` vs ``compiled``)
-        when the answer came from a specific closure."""
-        if kernel is None:
-            kernel = "compiled" if self._use_compiled else "object"
+        budget.  ``kernel`` is the closure's own recorded path
+        (``compiled-bitset`` vs ``compiled``) when the answer came from a
+        specific closure."""
         return Provenance(
             kernel=kernel,
             memo="hit" if hit else "fresh",
@@ -853,7 +611,7 @@ class DependencyEngine:
         self.system.space.check_names([target])
         closure, hit, store_tier = self._closure_info(sources, constraint, budget)
         targets = frozenset([target])
-        kernel_path = getattr(closure, "kernel_path", None)
+        kernel_path = closure.kernel_path
         pair = closure.first_differing().get(target)
         if pair is None:
             return DependencyResult(
@@ -899,7 +657,7 @@ class DependencyEngine:
         if not target_set:
             raise ConstraintError("target set B must be non-empty")
         closure, hit, store_tier = self._closure_info(sources, constraint, budget)
-        kernel_path = getattr(closure, "kernel_path", None)
+        kernel_path = closure.kernel_path
         pair = closure.first_differing_at_all(target_set)
         if pair is None:
             return DependencyResult(
@@ -953,30 +711,13 @@ class DependencyEngine:
             indices.append(k)
         return tuple(indices)
 
-    def _history_map(self, indices: tuple[int, ...]) -> Mapping[State, State]:
-        """Composed transition dict for the object path: ``map[s] = H(s)``,
-        memoized per op-index tuple (the ``compiled=False`` analogue of
-        :meth:`CompiledSystem.history_array`)."""
-        cached = self._history_maps.get(indices)
-        if cached is not None:
-            return cached
-        tables = self.transition_tables()
-        composed: Mapping[State, State] = {
-            state: state for state in self.system.space.states()
-        }
-        for k in indices:
-            table = tables[k][1]
-            composed = {s: table[f] for s, f in composed.items()}
-        with self._lock:
-            return self._history_maps.setdefault(indices, composed)
-
     def _history_table(
         self,
         source_set: frozenset[str],
         indices: tuple[int, ...],
         constraint: Constraint | None,
         budget: ExecutionBudget | None = None,
-    ) -> Mapping[str, tuple[int, int] | Pair]:
+    ) -> Mapping[str, tuple[int, int]]:
         """For one ``(A, H, phi)``: the first witness pair per target.
 
         One sweep over the Def 1-1 buckets of sat(phi) answers **all**
@@ -1000,7 +741,7 @@ class DependencyEngine:
         indices: tuple[int, ...],
         constraint: Constraint | None,
         budget: ExecutionBudget | None = None,
-    ) -> tuple[Mapping[str, tuple[int, int] | Pair], bool, str]:
+    ) -> tuple[Mapping[str, tuple[int, int]], bool, str]:
         """:meth:`_history_table` plus which memo tier served it
         (RAM LRU -> persistent store -> sweep, like the closures)."""
         key = (source_set, indices, self._flow_key(constraint))
@@ -1038,14 +779,9 @@ class DependencyEngine:
                     sources=",".join(sorted(source_set)),
                     length=len(indices),
                 ):
-                    if self._use_compiled:
-                        table = self._compiled_history_table(
-                            source_set, indices, constraint, meter
-                        )
-                    else:
-                        table = self._object_history_table(
-                            source_set, indices, self._resolve(constraint), meter
-                        )
+                    table = self._compiled_history_table(
+                        source_set, indices, constraint, meter
+                    )
             except BudgetExceededError as exc:
                 self.execution_log.record(
                     ExecutionReport(
@@ -1058,7 +794,7 @@ class DependencyEngine:
                     )
                 )
                 raise
-            if store is not None and self._use_compiled:
+            if store is not None:
                 store.save_history_table(
                     self._store_hash,
                     source_set,
@@ -1205,48 +941,9 @@ class DependencyEngine:
                 break
         return first
 
-    def _object_history_table(
-        self,
-        source_set: frozenset[str],
-        indices: tuple[int, ...],
-        phi: Constraint,
-        meter: BudgetMeter | None = None,
-    ) -> dict[str, Pair]:
-        """The ``compiled=False`` reference: same sweep over ``State``
-        buckets in enumeration order."""
-        comp = self._history_map(indices)
-        n_names = len(self.system.space.names)
-        first: dict[str, Pair] = {}
-        buckets: dict[tuple, list[State]] = {}
-        for state in phi.states():
-            buckets.setdefault(state.restrict_away(source_set), []).append(state)
-        scanned = 0
-        if meter is not None:
-            meter.check(0, 0)
-        for bucket in buckets.values():
-            if meter is not None:
-                meter.check(scanned, scanned)
-            scanned += len(bucket)
-            if len(bucket) < 2:
-                continue
-            s0 = bucket[0]
-            f0 = comp[s0]
-            for s in bucket[1:]:
-                fs = comp[s]
-                if fs == f0:
-                    continue
-                for name in f0.differs_at(fs):
-                    if name not in first:
-                        first[name] = (s0, s)
-            if len(first) == n_names:
-                break
-        return first
-
-    def _decode_history_pair(self, pair: tuple[int, int] | Pair) -> Pair:
-        if isinstance(pair[0], int):
-            states = self.compiled_system().states
-            return (states[pair[0]], states[pair[1]])
-        return pair  # type: ignore[return-value]
+    def _decode_history_pair(self, pair: tuple[int, int]) -> Pair:
+        states = self.compiled_system().states
+        return (states[pair[0]], states[pair[1]])
 
     def depends_history(
         self,
@@ -1356,13 +1053,9 @@ class DependencyEngine:
                         )
                         if not all(t in table for t in target_set):
                             pair = None
-                        elif self._use_compiled:
+                        else:
                             pair = self._compiled_history_set_pair(
                                 source_set, indices, sorted(target_set), constraint
-                            )
-                        else:
-                            pair = self._object_history_set_pair(
-                                source_set, indices, sorted(target_set), phi
                             )
                     pair = self._history_set_memo.put(key, pair)
             finally:
@@ -1420,30 +1113,6 @@ class DependencyEngine:
                         return (bucket[a], bucket[b])
         return None
 
-    def _object_history_set_pair(
-        self,
-        source_set: frozenset[str],
-        indices: tuple[int, ...],
-        target_list: list[str],
-        phi: Constraint,
-    ) -> Pair | None:
-        comp = self._history_map(indices)
-        buckets: dict[tuple, list[State]] = {}
-        for state in phi.states():
-            buckets.setdefault(state.restrict_away(source_set), []).append(state)
-        for bucket in buckets.values():
-            m = len(bucket)
-            if m < 2:
-                continue
-            finals = [comp[s] for s in bucket]
-            for a in range(m - 1):
-                fa = finals[a]
-                for b in range(a + 1, m):
-                    fb = finals[b]
-                    if all(fa[t] != fb[t] for t in target_list):
-                        return (bucket[a], bucket[b])
-        return None
-
     # -- batched queries ------------------------------------------------------
 
     def _source_family(
@@ -1488,9 +1157,6 @@ class DependencyEngine:
         unique = list(dict.fromkeys(family))
         with self._lock:
             pending = [a for a in unique if (a, constraint) not in self._closures]
-            hotness = {
-                a: self._hotness.get((a, constraint), 0) for a in pending
-            }
         if not pending:
             return
         # Disk tier before any fan-out: a warm store turns the whole
@@ -1509,11 +1175,6 @@ class DependencyEngine:
             pending = still_pending
         if not pending:
             return
-        # Hottest first: under a budget (or a mid-warm failure) the
-        # closures most likely to be asked for again are the ones that
-        # made it into the memo.  The sort is stable, so untouched
-        # sources keep their family order.
-        pending.sort(key=lambda a: -hotness[a])
         total = len(pending)
         started = time.perf_counter()
         degradations: list[str] = []
@@ -1558,11 +1219,8 @@ class DependencyEngine:
         tasks failed (for the serial loop).  Budget trips propagate; any
         other per-task failure is contained — completed closures are
         already memoized by :meth:`_closure`."""
-        # Warm the shared tables once, not per thread.
-        if self._use_compiled:
-            self.compiled_system()
-        else:
-            self.transition_tables()
+        # Compile once, not per thread.
+        self.compiled_system()
 
         def run(task: tuple[int, frozenset[str]]) -> None:
             k, a = task
@@ -1641,53 +1299,6 @@ class DependencyEngine:
             for x in names
         }
 
-    # -- hotness / prewarming -------------------------------------------------
-
-    def hot_closures(
-        self, k: int | None = None
-    ) -> list[tuple[tuple[frozenset[str], Constraint | None], int]]:
-        """The most-requested ``(A, phi)`` closure keys with their request
-        counts, hottest first (ties in first-seen order — the count dict
-        preserves insertion and the sort is stable).  This is the PR-5
-        telemetry turned into a schedule: every :meth:`depends_ever` /
-        :meth:`depends_ever_set` call counts, whether the memo served it
-        or not."""
-        with self._lock:
-            ranked = sorted(self._hotness.items(), key=lambda kv: -kv[1])
-        return ranked if k is None else ranked[:k]
-
-    def prewarm_hot(
-        self,
-        k: int,
-        max_workers: int | None = None,
-        budget: ExecutionBudget | None = None,
-    ) -> int:
-        """Compute the closures for the ``k`` hottest ``(A, phi)`` pairs
-        that are not yet memoized, fanned out like any other warm.
-
-        Budget-tripped closures never enter the memo, so this is the
-        recovery path after governed runs: lift (or keep) the budget and
-        re-run exactly the demand-ranked misses.  Returns the number of
-        closures that were actually pending.  Keys are grouped per
-        constraint, one warm fan-out each.
-        """
-        with self._lock:
-            missing = [
-                key
-                for key, _ in sorted(self._hotness.items(), key=lambda kv: -kv[1])
-                if key not in self._closures
-            ][:k]
-        if not missing:
-            return 0
-        by_constraint: dict[Constraint | None, list[frozenset[str]]] = {}
-        for source_set, constraint in missing:
-            by_constraint.setdefault(constraint, []).append(source_set)
-        obs.count("engine.prewarm.runs")
-        obs.count("engine.prewarm.closures", len(missing))
-        for constraint, family in by_constraint.items():
-            self._warm(family, constraint, max_workers, budget)
-        return len(missing)
-
     # -- single-step flows ----------------------------------------------------
 
     def operation_flows(
@@ -1731,10 +1342,7 @@ class DependencyEngine:
             obs.count("engine.step_flows.memo_miss")
             try:
                 with obs.span("engine.operation_flows", constraint=phi.name):
-                    if self._use_compiled:
-                        result = self._compiled_operation_flows(key, meter)
-                    else:
-                        result = self._object_operation_flows(phi, meter)
+                    result = self._compiled_operation_flows(key, meter)
             except BudgetExceededError as exc:
                 self.execution_log.record(
                     ExecutionReport(
@@ -1787,33 +1395,6 @@ class DependencyEngine:
                                 if column[si] != column[sj]:
                                     add((x, y))
         return {name: frozenset(pairs) for name, pairs in flows.items()}
-
-    def _object_operation_flows(
-        self, phi: Constraint, meter: BudgetMeter | None = None
-    ) -> dict[str, frozenset[tuple[str, str]]]:
-        """The PR-1 object path, kept for ``compiled=False`` engines."""
-        tables = self.transition_tables()
-        sat_states = list(phi.states())
-        flows: dict[str, set[tuple[str, str]]] = {name: set() for name, _ in tables}
-        scanned = 0
-        if meter is not None:
-            meter.check(0, 0)
-        for x in self.system.space.names:
-            buckets: dict[tuple, list[State]] = {}
-            only_x = frozenset([x])
-            for state in sat_states:
-                buckets.setdefault(state.restrict_away(only_x), []).append(state)
-            for bucket in buckets.values():
-                if meter is not None:
-                    meter.check(scanned, scanned)
-                scanned += len(bucket)
-                for i, s1 in enumerate(bucket):
-                    for s2 in bucket[i + 1 :]:
-                        for op_name, table in tables:
-                            for y in table[s1].differs_at(table[s2]):
-                                flows[op_name].add((x, y))
-        return {name: frozenset(pairs) for name, pairs in flows.items()}
-
 
 _ENGINES: "weakref.WeakKeyDictionary[System, DependencyEngine]" = (
     weakref.WeakKeyDictionary()

@@ -1,7 +1,7 @@
 """Cooperative SIGINT/SIGTERM handling for long-running runs.
 
 Long CLI paths — a big governed search, ``repro quantify --capacity``,
-an engine ``prewarm_hot`` fan-out — used to die mid-run on Ctrl-C: the
+an engine warm fan-out — used to die mid-run on Ctrl-C: the
 default ``KeyboardInterrupt`` unwinds wherever the interpreter happens
 to be, losing every closure still in flight and skipping the persistent
 store flush.  The serve layer has the same problem spelled SIGTERM.

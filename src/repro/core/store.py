@@ -93,6 +93,12 @@ ENV_MAX_BYTES = "REPRO_STORE_MAX_BYTES"
 #: (and degrading) instead of deadlocking.
 BUSY_TIMEOUT_MS = 10_000
 
+#: Attempts at switching a file to WAL.  Two connections converting one
+#: fresh file at once can get "database is locked" immediately — sqlite
+#: skips the busy timeout where waiting would deadlock — so the loser
+#: retries after a short sleep instead of degrading.
+WAL_ATTEMPTS = 20
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
     key TEXT PRIMARY KEY,
@@ -409,7 +415,14 @@ class PersistentStore:
                 check_same_thread=False,
             )
             conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-            conn.execute("PRAGMA journal_mode=WAL")
+            for attempt in range(1, WAL_ATTEMPTS + 1):
+                try:
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if attempt == WAL_ATTEMPTS or "locked" not in str(exc):
+                        raise
+                    time.sleep(0.005 * attempt)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             row = conn.execute(

@@ -286,16 +286,10 @@ def transition_table(
 ) -> Mapping[State, State]:
     """The full transition function of one operation as a dict.
 
-    This tabulation is the hot-path substrate of the *object-mode*
-    dependency engine (``DependencyEngine(system, compiled=False)``):
-    each BFS step becomes a dict lookup instead of re-executing semantic
-    lambdas.  The default *compiled* engine goes one step further and
-    flattens each operation into a dense integer successor array
-    (:class:`repro.core.compiled.CompiledSystem`), which is the preferred
-    path — O(1) indexed loads, no ``State`` hashing.  The dict form
-    remains useful on its own for debugging small systems and for the
-    random-system fuzzer, which compares semantic operations against
-    explicit tables.
+    The dependency engine does not use this: it flattens each operation
+    into a dense integer successor array
+    (:class:`repro.core.compiled.CompiledSystem`) — O(1) indexed loads,
+    no ``State`` hashing.  The dict form is for inspecting small systems.
     """
     op = system.operation(operation) if isinstance(operation, str) else operation
     return {state: op(state) for state in system.space.states()}

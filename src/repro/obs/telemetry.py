@@ -514,8 +514,6 @@ COUNTER_NAMES = (
     "engine.history_set.evictions",
     "engine.step_flows.memo_hit",
     "engine.step_flows.memo_miss",
-    "engine.prewarm.runs",
-    "engine.prewarm.closures",
     "kernel.pair_expansions",
     "kernel.pairs_discovered",
     "kernel.history_compose.memo_hit",

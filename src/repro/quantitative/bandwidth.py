@@ -123,7 +123,7 @@ def blahut_arimoto(
     *last computed* value is returned, so tiny ``max_iterations`` can
     only under-estimate capacity — never return a ``-1.0`` sentinel or
     other artifact.  Uses a NumPy bulk path when available (gated the
-    same way as the bitset kernels: ``REPRO_BITSET_NUMPY=0`` forces the
+    same way as the bitset kernel: ``REPRO_BITSET_NUMPY=0`` forces the
     pure-Python fallback).
     """
     n_inputs = len(matrix)

@@ -2,8 +2,7 @@
 
 These pin the *mechanics*: vectorized Def 1-1 seeding reproduces the
 scalar bucket order exactly, the bulk BFS emits the byte-identical
-``order``/parents sequence on both the NumPy and the pure bulk paths,
-``PackedParents`` behaves like the dict it replaces, and the vectorized
+``order``/parents sequence of the scalar kernel, ``PackedParents`` behaves like the dict it replaces, and the vectorized
 column scans agree with the scalar sweeps.  Statistical agreement over
 random systems lives in ``tests/property/test_bitset_agreement.py``.
 """
@@ -72,14 +71,14 @@ def scalar_seeds(kernel, source_indices, sat_ids=None) -> list[int]:
 class TestSeeding:
     def test_seed_codes_match_scalar_bucket_order(self, mixed):
         compiled = CompiledSystem(mixed)
-        bulk = BitsetKernel(compiled.kernel, use_numpy=True)
+        bulk = BitsetKernel(compiled.kernel)
         for sources in [(0,), (1,), (0, 2), (0, 1, 2)]:
             got = bulk._seed_codes_np(sources, None).tolist()
             assert got == scalar_seeds(compiled.kernel, sources)
 
     def test_seed_codes_match_on_constrained_subsets(self, mixed):
         compiled = CompiledSystem(mixed)
-        bulk = BitsetKernel(compiled.kernel, use_numpy=True)
+        bulk = BitsetKernel(compiled.kernel)
         # Every third state: uneven buckets, some singletons.
         sat = array("L", range(0, compiled.kernel.n, 3))
         for sources in [(0,), (2,), (0, 1)]:
@@ -88,29 +87,22 @@ class TestSeeding:
 
     def test_empty_source_set_seeds_within_single_bucket(self, mixed):
         compiled = CompiledSystem(mixed)
-        bulk = BitsetKernel(compiled.kernel, use_numpy=True)
+        bulk = BitsetKernel(compiled.kernel)
         got = bulk._seed_codes_np((), None).tolist()
         assert got == scalar_seeds(compiled.kernel, ())
 
 
 class TestClosureIdentity:
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_closure_identical_to_scalar(self, mixed, use_numpy, monkeypatch):
-        if not use_numpy:
-            monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
+    def test_closure_identical_to_scalar(self, mixed):
         compiled = CompiledSystem(mixed)
         bulk = BitsetKernel(compiled.kernel)
-        assert (bulk.np is not None) == use_numpy
         for sources in [(0,), (1,), (2,), (0, 1)]:
             s_order, s_parents = compiled.kernel.closure(sources)
             b_order, b_parents = bulk.closure(sources)
             assert list(b_order) == list(s_order)
             assert dict(b_parents) == s_parents
 
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_closure_identical_on_xor_ring(self, use_numpy, monkeypatch):
-        if not use_numpy:
-            monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
+    def test_closure_identical_on_xor_ring(self):
         compiled = CompiledSystem(xor_ring(6))
         bulk = BitsetKernel(compiled.kernel)
         s_order, s_parents = compiled.kernel.closure((0,))
@@ -120,7 +112,7 @@ class TestClosureIdentity:
 
     def test_closure_with_constrained_sat_ids(self, mixed):
         compiled = CompiledSystem(mixed)
-        bulk = BitsetKernel(compiled.kernel, use_numpy=True)
+        bulk = BitsetKernel(compiled.kernel)
         sat = array("L", range(0, compiled.kernel.n, 2))
         s_order, s_parents = compiled.kernel.closure((0,), sat)
         b_order, b_parents = bulk.closure((0,), sat)
@@ -130,7 +122,7 @@ class TestClosureIdentity:
     def test_no_operations_closure_is_seeds_only(self):
         space = Space({"a": (0, 1), "b": (0, 1)})
         compiled = CompiledSystem(System(space, []))
-        bulk = BitsetKernel(compiled.kernel, use_numpy=True)
+        bulk = BitsetKernel(compiled.kernel)
         s_order, s_parents = compiled.kernel.closure((0,))
         b_order, b_parents = bulk.closure((0,))
         assert list(b_order) == list(s_order)
@@ -141,14 +133,11 @@ class TestClosureIdentity:
         monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
         assert load_numpy() is None
         with pytest.raises(RuntimeError):
-            BitsetKernel(CompiledSystem(mixed).kernel, use_numpy=True)
+            BitsetKernel(CompiledSystem(mixed).kernel)
 
 
 class TestBudget:
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_zero_budget_trips_before_expansion(self, use_numpy, monkeypatch):
-        if not use_numpy:
-            monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
+    def test_zero_budget_trips_before_expansion(self):
         compiled = CompiledSystem(xor_ring(6))
         bulk = BitsetKernel(compiled.kernel)
         meter = ExecutionBudget(max_expanded=0).start("test")
@@ -156,12 +145,7 @@ class TestBudget:
             bulk.closure((0,), meter=meter)
         assert exc.value.partial.expanded == 0
 
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_small_budget_trips_and_completed_run_is_exact(
-        self, use_numpy, monkeypatch
-    ):
-        if not use_numpy:
-            monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
+    def test_small_budget_trips_and_completed_run_is_exact(self):
         compiled = CompiledSystem(xor_ring(6))
         bulk = BitsetKernel(compiled.kernel)
         full_order, _ = compiled.kernel.closure((0,))
@@ -173,10 +157,7 @@ class TestBudget:
         order, _ = bulk.closure((0,), meter=meter)
         assert list(order) == list(full_order)
 
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_stats_include_levels(self, use_numpy, monkeypatch):
-        if not use_numpy:
-            monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
+    def test_stats_include_levels(self):
         compiled = CompiledSystem(xor_ring(5))
         bulk = BitsetKernel(compiled.kernel)
         stats: dict[str, int] = {}

@@ -143,8 +143,8 @@ class TestClosure:
         compiled = CompiledSystem(relay)
         closure = compiled.closure(frozenset({"a"}))
         engine = DependencyEngine(relay)
-        decoded = engine.pair_closure({"a"})
-        assert list(closure.pairs()) == list(decoded.pairs)
+        decoded = engine._closure({"a"}).pairs()
+        assert list(closure.pairs()) == list(decoded)
 
 
 class TestPickling:

@@ -1,18 +1,17 @@
-"""Engine-side kernel selection, hotness ranking, and prewarming.
+"""Engine-side kernel selection.
 
 The engine picks between the scalar and bulk (bitset) compiled kernels
 per :data:`~repro.core.compiled.KERNEL_MODES`: explicitly via the
 ``kernel=`` constructor argument, ambiently via ``REPRO_KERNEL``, or by
-the ``auto`` space-size threshold.  Closure demand is counted per
-``(A, phi)`` and drives :meth:`hot_closures` / :meth:`prewarm_hot` and
-the hottest-first ordering of warm fan-outs.
+the ``auto`` space-size threshold.  Without NumPy every mode runs the
+scalar loop.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.budget import BudgetExceededError, ExecutionBudget
+from repro.core.bitset import ENV_NUMPY_FLAG
 from repro.core.compiled import BITSET_AUTO_MIN_STATES
 from repro.core.engine import ENV_KERNEL, DependencyEngine, _resolve_kernel_mode
 from repro.lang.builders import SystemBuilder
@@ -61,12 +60,6 @@ class TestModeResolution:
         assert big.system.space.size >= BITSET_AUTO_MIN_STATES
         assert big._closure_mode() == "bitset"
 
-    def test_object_engine_ignores_kernel_mode(self):
-        engine = DependencyEngine(relay(), compiled=False, kernel="bitset")
-        assert engine._closure_mode() == "scalar"
-        result = engine.depends_ever({"a"}, "b")
-        assert result.provenance.kernel == "object"
-
     def test_provenance_tracks_the_closure_kernel(self):
         scalar = DependencyEngine(xor_ring(6), kernel="scalar")
         assert scalar.depends_ever({"x0"}, "x1").provenance.kernel == "compiled"
@@ -76,44 +69,29 @@ class TestModeResolution:
             == "compiled-bitset"
         )
 
+    @pytest.mark.parametrize("kernel", ["auto", "bitset"])
+    def test_without_numpy_every_mode_runs_scalar(self, kernel, monkeypatch):
+        system = xor_ring(6)  # 64 states: auto would pick the bitset kernel
+        bulk = DependencyEngine(system, kernel="bitset")
+        names = system.space.names
+        expected = {(x, y): bulk.depends_ever({x}, y) for x in names for y in names}
+        monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
+        engine = DependencyEngine(system, kernel=kernel)
+        assert engine._closure_mode() == "scalar"
+        for (x, y), reference in expected.items():
+            result = engine.depends_ever({x}, y)
+            assert result.provenance.kernel == "compiled"
+            assert bool(result) == bool(reference)
+            if reference:
+                assert result.witness == reference.witness
 
-class TestHotness:
-    def test_hot_closures_ranked_by_request_count(self):
-        engine = DependencyEngine(relay())
-        engine.depends_ever({"a"}, "b")
-        engine.depends_ever({"a"}, "m")  # memo hit, still counts
-        engine.depends_ever({"m"}, "b")
-        ranked = engine.hot_closures()
-        assert ranked[0][0] == (frozenset({"a"}), None)
-        assert ranked[0][1] == 2
-        assert ranked[1][1] == 1
-        assert engine.hot_closures(1) == ranked[:1]
 
-    def test_prewarm_hot_recomputes_budget_tripped_closures(self):
-        engine = DependencyEngine(xor_ring(6), kernel="bitset")
-        with pytest.raises(BudgetExceededError):
-            engine.depends_ever(
-                {"x0"}, "x1", budget=ExecutionBudget(max_expanded=0)
-            )
-        assert engine.cache_stats()["closures"]["size"] == 0
-        assert engine.prewarm_hot(4) == 1
-        assert engine.cache_stats()["closures"]["size"] == 1
-        # Now a hit, and nothing left to prewarm.
-        assert bool(engine.depends_ever({"x0"}, "x1")) == bool(
-            DependencyEngine(xor_ring(6), kernel="scalar").depends_ever(
-                {"x0"}, "x1"
-            )
-        )
-        assert engine.prewarm_hot(4) == 0
-
-    def test_cache_stats_includes_kernel_and_hotness_sections(self):
+class TestCacheStats:
+    def test_cache_stats_includes_kernel_sections(self):
         engine = DependencyEngine(relay())
         stats = engine.cache_stats()
-        for key in ("kernel_composed", "kernel_sat_ids", "hot_closures"):
+        for key in ("kernel_composed", "kernel_sat_ids"):
             assert key in stats
         # Before compilation the kernel memos report empty at capacity.
         assert stats["kernel_composed"]["size"] == 0
         assert stats["kernel_composed"]["capacity"] > 0
-        engine.depends_ever({"a"}, "b")
-        stats = engine.cache_stats()
-        assert stats["hot_closures"]["size"] == 1

@@ -47,7 +47,7 @@ class TestProvenanceRecord:
         )
 
     def test_short_form(self):
-        assert Provenance(kernel="object", memo="hit").short() == "object/hit"
+        assert Provenance(kernel="compiled", memo="hit").short() == "compiled/hit"
 
     def test_vocabularies(self):
         assert "compiled" in KERNEL_PATHS and "seed-fallback" in KERNEL_PATHS
@@ -73,12 +73,6 @@ class TestEngineProvenance:
         assert not result
         p = result.provenance
         assert p.kernel == "compiled" and p.witness_length is None
-
-    def test_object_engine_reports_object_kernel(self, relay):
-        result = DependencyEngine(relay, compiled=False).depends_ever(
-            {"a"}, "bb"
-        )
-        assert result.provenance.kernel == "object"
 
     def test_depends_ever_set_provenance(self, relay):
         engine = DependencyEngine(relay)

@@ -5,19 +5,22 @@ stronger than verdict agreement with the scalar compiled kernel: its
 ``order`` sequence and parent pointers are *byte-identical*, so every
 shortest witness — not just every verdict — survives the kernel swap.
 Over seeded random systems these tests assert, across constraint
-flavours and for both the NumPy and the pure bulk paths:
+flavours:
 
 - identical closure ``order`` and ``parents`` (compared as dicts — the
   bulk kernel returns an array-backed
   :class:`~repro.core.bitset.PackedParents` mapping);
 - identical verdicts *and identical witness histories* for every
   (source, target) single and set query;
+- with NumPy switched off (``REPRO_BITSET_NUMPY=0``) a bitset-requested
+  engine runs the scalar loop, reports ``compiled`` provenance, and still
+  matches the NumPy bitset kernel byte for byte;
 - zero-expansion budgets trip identically, and a tripped bulk run
   memoizes nothing (soundness: the memo only ever holds complete
   closures);
 - agreement is unchanged with telemetry enabled;
-- the process-pool warm path in bitset mode produces closures identical
-  to the in-process scalar ones.
+- the thread-pool warm (``max_workers``) in bitset mode produces
+  closures identical to serial scalar ones.
 """
 
 from __future__ import annotations
@@ -62,20 +65,33 @@ def _witness_ops(result) -> tuple[str, ...] | None:
     return tuple(op.name for op in result.witness.history)
 
 
+def _scalar_twin(system, numpy_path, monkeypatch) -> DependencyEngine:
+    """The engine to compare the NumPy bitset kernel against: a
+    ``kernel="scalar"`` engine, or with ``numpy_path`` off a
+    ``kernel="bitset"`` engine under ``REPRO_BITSET_NUMPY=0``, which runs
+    the scalar loop too.  Compute the bitset closures before calling this
+    with ``numpy_path`` off."""
+    if numpy_path:
+        return DependencyEngine(system, kernel="scalar")
+    monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
+    return DependencyEngine(system, kernel="bitset")
+
+
 @pytest.mark.parametrize("seed", range(16))
 @pytest.mark.parametrize("numpy_path", [True, False])
 def test_closures_and_witnesses_identical(seed, numpy_path, monkeypatch):
-    if not numpy_path:
-        monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
     system, phi = _random_case(seed)
-    scalar = DependencyEngine(system, kernel="scalar")
     bulk = DependencyEngine(system, kernel="bitset")
+    for source in system.space.names:
+        bulk._closure({source}, phi)
+    scalar = _scalar_twin(system, numpy_path, monkeypatch)
     for source in system.space.names:
         s_closure = scalar._closure({source}, phi)
         b_closure = bulk._closure({source}, phi)
         assert list(b_closure.order) == list(s_closure.order)
         assert dict(b_closure.parents) == dict(s_closure.parents)
         assert b_closure.kernel_path == "compiled-bitset"
+        assert s_closure.kernel_path == "compiled"
         for target in system.space.names:
             s_result = scalar.depends_ever({source}, target, phi)
             b_result = bulk.depends_ever({source}, target, phi)
@@ -102,23 +118,22 @@ def test_set_targets_identical(seed):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("numpy_path", [True, False])
 def test_zero_budget_trips_identically(seed, numpy_path, monkeypatch):
-    if not numpy_path:
-        monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
     system, phi = _random_case(seed)
     budget = ExecutionBudget(max_expanded=0)
     source = system.space.names[0]
     target = system.space.names[-1]
-    outcomes = []
-    for mode in ("scalar", "bitset"):
-        engine = DependencyEngine(system, kernel=mode)
+
+    def outcome(engine):
         try:
             engine.depends_ever({source}, target, phi, budget=budget)
-            outcomes.append("completed")
+            return "completed"
         except BudgetExceededError as exc:
-            outcomes.append(("tripped", exc.partial.expanded))
             # Soundness: a tripped run memoizes nothing.
             assert engine.cache_stats()["closures"]["size"] == 0
-    assert outcomes[0] == outcomes[1]
+            return ("tripped", exc.partial.expanded)
+
+    bulk = outcome(DependencyEngine(system, kernel="bitset"))
+    assert outcome(_scalar_twin(system, numpy_path, monkeypatch)) == bulk
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -148,7 +163,7 @@ def test_agreement_with_telemetry_enabled(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 5, 10])
-def test_pool_bitset_closures_identical_to_serial_scalar(seed):
+def test_threaded_bitset_warm_identical_to_serial_scalar(seed):
     system, phi = _random_case(seed)
     pooled = DependencyEngine(system, kernel="bitset")
     serial = DependencyEngine(system, kernel="scalar")

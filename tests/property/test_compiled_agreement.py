@@ -1,24 +1,28 @@
 """Compiled-kernel agreement: integer closures must change nothing but speed.
 
 The compiled engine (:mod:`repro.core.compiled`) answers every query from
-a BFS over *canonical unordered* integer-encoded pairs; the PR-1 object
-engine (``DependencyEngine(system, compiled=False)``) explores ordered
-``State`` pairs, and ``reachability._seed_depends_ever`` remains the
-original per-query executable specification.  Over seeded random systems
-(:mod:`repro.analysis.random_systems`) these tests assert, across
+a BFS over *canonical unordered* integer-encoded pairs;
+``reachability._seed_depends_ever`` and ``dependency._seed_transmits``
+remain the per-query executable specification.  Over seeded random
+systems (:mod:`repro.analysis.random_systems`) these tests assert, across
 constraint flavours:
 
 - identical ``holds`` verdicts for every (source, target) query against
-  *both* the object engine and the seed reference, for single and set
-  targets;
+  the seed reference, for single and set targets;
 - every positive compiled witness *replays* (phi-satisfying pair, equal
   except at A, history produces the difference) and is shortest (same
   length as the seed BFS's);
 - the explicit unordered-pair symmetry invariant: the canonical closure
-  equals the ordered closure modulo swap (minus diagonal pairs, which
-  carry no distinguishing information and are pruned by the kernel);
-- compiled single-step flows match the object engine's exactly;
-- the process-pool warm path produces closures identical to serial.
+  equals the ordered Def 2-8 pair graph modulo swap (minus diagonal
+  pairs, which carry no distinguishing information and are pruned by the
+  kernel);
+- compiled single-step flows match the seed fixed-history checker on
+  every one-operation history;
+- the thread-pool warm (``max_workers``) produces closures identical to
+  serial.
+
+Two test names still mention the object engine they were first written
+against; they keep their names so their results stay comparable.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from repro.analysis.random_systems import random_constraint, random_system
 from repro.core.constraints import Constraint
 from repro.core.dependency import DependencyResult
 from repro.core.engine import DependencyEngine
+from repro.core.dependency import _seed_transmits
 from repro.core.reachability import _seed_depends_ever, _seed_depends_ever_set
-from repro.core.system import System
+from repro.core.system import History, System
 
 FLAVOURS = [None, "subset", "autonomous", "coupled"]
 
@@ -72,19 +77,38 @@ def _assert_witness_replays(
         )
 
 
+def _ordered_closure(
+    system: System, source: str, phi: Constraint | None
+) -> set:
+    """The Def 2-8 pair graph itself: ordered pairs of phi-states equal
+    except at ``source``, closed under applying one operation to both."""
+    states = list((phi or Constraint.true(system.space)).states())
+    frontier = [
+        (s1, s2)
+        for s1 in states
+        for s2 in states
+        if s1 != s2 and s1.equal_except_at(s2, {source})
+    ]
+    seen = set(frontier)
+    while frontier:
+        s1, s2 = frontier.pop()
+        for op in system.operations:
+            pair = (op(s1), op(s2))
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
+    return seen
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_compiled_matches_object_engine_and_seed(seed):
     system, phi, _ = _random_case(seed)
-    compiled = DependencyEngine(system, compiled=True)
-    objects = DependencyEngine(system, compiled=False)
+    compiled = DependencyEngine(system)
     for source in system.space.names:
         for target in system.space.names:
             seed_result = _seed_depends_ever(system, {source}, target, phi)
-            object_result = objects.depends_ever({source}, target, phi)
             compiled_result = compiled.depends_ever({source}, target, phi)
-            assert bool(compiled_result) == bool(object_result) == bool(
-                seed_result
-            ), (
+            assert bool(compiled_result) == bool(seed_result), (
                 f"verdict mismatch for {source} |> {target} "
                 f"under {phi.name if phi else 'tt'}"
             )
@@ -98,7 +122,7 @@ def test_compiled_matches_object_engine_and_seed(seed):
 @pytest.mark.parametrize("seed", range(24))
 def test_compiled_matches_seed_set_targets(seed):
     system, phi, rng = _random_case(seed)
-    compiled = DependencyEngine(system, compiled=True)
+    compiled = DependencyEngine(system)
     names = list(system.space.names)
     for _ in range(6):
         sources = frozenset(rng.sample(names, rng.randint(1, len(names))))
@@ -127,19 +151,16 @@ def test_unordered_pair_symmetry_invariant(seed):
     construction: they distinguish nothing and the kernel prunes them.
     """
     system, phi, _ = _random_case(seed)
-    compiled = DependencyEngine(system, compiled=True)
-    objects = DependencyEngine(system, compiled=False)
+    compiled = DependencyEngine(system)
     position = {
         state: i
         for i, state in enumerate(compiled.compiled_system().states)
     }
     for source in system.space.names:
-        canonical = compiled.pair_closure({source}, phi)
-        ordered = objects.pair_closure({source}, phi)
-        canonical_set = set(canonical.pairs)
+        canonical_set = set(compiled._closure({source}, phi).pairs())
         projected = {
             (s1, s2) if position[s1] <= position[s2] else (s2, s1)
-            for s1, s2 in ordered.pairs
+            for s1, s2 in _ordered_closure(system, source, phi)
             if s1 != s2
         }
         assert canonical_set == projected, (
@@ -155,15 +176,22 @@ def test_unordered_pair_symmetry_invariant(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_compiled_flows_match_object_engine(seed):
     system, phi, _ = _random_case(seed)
-    compiled_flows = DependencyEngine(system, compiled=True).operation_flows(phi)
-    object_flows = DependencyEngine(system, compiled=False).operation_flows(phi)
-    assert compiled_flows == object_flows
+    flows = DependencyEngine(system).operation_flows(phi)
+    names = system.space.names
+    for op in system.operations:
+        assert flows[op.name] == {
+            (x, y)
+            for x in names
+            for y in names
+            if _seed_transmits(system, {x}, y, History.of(op), phi)
+        }, op.name
 
 
 @pytest.mark.parametrize("seed", [1, 6, 11])
-def test_process_pool_warm_matches_serial(seed):
-    """The ProcessPoolExecutor fan-out must be invisible in the results:
-    same verdicts, same (shortest) witness lengths, witnesses replay."""
+def test_threaded_warm_matches_serial(seed):
+    """The ``max_workers`` thread fan-out must be invisible in the
+    results: same verdicts, same (shortest) witness lengths, witnesses
+    replay."""
     system, phi, _ = _random_case(seed)
     serial = DependencyEngine(system).closure(phi)
     fanned = DependencyEngine(system).closure(phi, max_workers=2)

@@ -9,9 +9,8 @@ successor array of H over the Def 1-1 buckets of sat(phi), memoized per
 specification.  Over seeded random systems and random multi-operation
 histories these tests assert, across constraint flavours:
 
-- identical ``holds`` verdicts on *both* engine paths (compiled integer
-  kernel and the ``compiled=False`` object path) against the seed
-  reference, for single and set targets;
+- identical ``holds`` verdicts against the seed reference, for single
+  and set targets;
 - witness pairs are not merely valid but *identical* to the seed
   checker's (both scan the same buckets in enumeration order and
   compare to the bucket's first member), and every witness replays;
@@ -96,8 +95,7 @@ def _assert_same_witness(
 @pytest.mark.parametrize("seed", range(24))
 def test_depends_history_matches_seed_single_target(seed):
     system, phi, rng = _random_case(seed)
-    compiled = DependencyEngine(system, compiled=True)
-    objects = DependencyEngine(system, compiled=False)
+    engine = DependencyEngine(system)
     for _ in range(3):
         history = _random_history(system, rng)
         for source in system.space.names:
@@ -105,24 +103,20 @@ def test_depends_history_matches_seed_single_target(seed):
                 seed_result = _seed_transmits(
                     system, {source}, target, history, phi
                 )
-                for engine in (compiled, objects):
-                    batched = engine.depends_history(
-                        {source}, target, history, phi
-                    )
-                    assert bool(batched) == bool(seed_result), (
-                        f"verdict mismatch for {source} |>^{history!r} "
-                        f"{target} under {phi.name if phi else 'tt'}"
-                    )
-                    if batched:
-                        _assert_witness_replays(batched, phi)
-                        _assert_same_witness(batched, seed_result)
+                batched = engine.depends_history({source}, target, history, phi)
+                assert bool(batched) == bool(seed_result), (
+                    f"verdict mismatch for {source} |>^{history!r} "
+                    f"{target} under {phi.name if phi else 'tt'}"
+                )
+                if batched:
+                    _assert_witness_replays(batched, phi)
+                    _assert_same_witness(batched, seed_result)
 
 
 @pytest.mark.parametrize("seed", range(24))
 def test_depends_history_set_matches_seed(seed):
     system, phi, rng = _random_case(seed)
-    compiled = DependencyEngine(system, compiled=True)
-    objects = DependencyEngine(system, compiled=False)
+    engine = DependencyEngine(system)
     names = list(system.space.names)
     for _ in range(6):
         history = _random_history(system, rng)
@@ -131,16 +125,15 @@ def test_depends_history_set_matches_seed(seed):
         seed_result = _seed_transmits_to_set(
             system, sources, targets, history, phi
         )
-        for engine in (compiled, objects):
-            batched = engine.depends_history_set(sources, targets, history, phi)
-            assert bool(batched) == bool(seed_result), (
-                f"set-target verdict mismatch for {sorted(sources)} "
-                f"|>^{history!r} {sorted(targets)} under "
-                f"{phi.name if phi else 'tt'}"
-            )
-            if batched:
-                _assert_witness_replays(batched, phi)
-                _assert_same_witness(batched, seed_result)
+        batched = engine.depends_history_set(sources, targets, history, phi)
+        assert bool(batched) == bool(seed_result), (
+            f"set-target verdict mismatch for {sorted(sources)} "
+            f"|>^{history!r} {sorted(targets)} under "
+            f"{phi.name if phi else 'tt'}"
+        )
+        if batched:
+            _assert_witness_replays(batched, phi)
+            _assert_same_witness(batched, seed_result)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -171,7 +164,7 @@ def test_memoized_requery_is_stable(seed):
     """A second identical query must return the same verdict and witness
     pair (served from the memoized table, not recomputed)."""
     system, phi, rng = _random_case(seed)
-    engine = DependencyEngine(system, compiled=True)
+    engine = DependencyEngine(system)
     history = _random_history(system, rng)
     for source in system.space.names:
         for target in system.space.names:
@@ -190,7 +183,7 @@ def test_foreign_operations_fall_back_to_seed(seed):
     system, phi, rng = _random_case(seed)
     ops = system.operations
     composite = ops[0].then(ops[-1])
-    engine = DependencyEngine(system, compiled=True)
+    engine = DependencyEngine(system)
     names = list(system.space.names)
     source, target = rng.choice(names), rng.choice(names)
     with pytest.raises(ForeignOperationError):
