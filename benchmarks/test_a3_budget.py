@@ -19,12 +19,13 @@ it checks the benchmark runs and the governed matrix agrees, not speed.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+
+from bench_record import record
 
 from repro.analysis.report import Table
 from repro.core.budget import ExecutionBudget
@@ -34,6 +35,11 @@ from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_budget.json"
+BENCH_HEADER = {
+    "bench": "A3 budget overhead",
+    "paths": ["ungoverned", "governed"],
+}
+BENCH_KEY = ("n",)
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 OVERHEAD_BAR = 1.05  # governed / ungoverned, largest case
@@ -72,24 +78,6 @@ def _time_matrix(n: int, budget: ExecutionBudget | None, rounds: int):
     return result, best
 
 
-def _record(row: dict) -> None:
-    data: dict = {
-        "bench": "A3 budget overhead",
-        "paths": ["ungoverned", "governed"],
-        "rows": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [r for r in data.get("rows", []) if r.get("n") != row["n"]]
-    rows.append(row)
-    rows.sort(key=lambda r: r["n"])
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 @pytest.mark.parametrize("n", CASES)
 def test_a3_budget_overhead(benchmark, n, show):
     plain_result, plain_seconds = _time_matrix(n, None, ROUNDS)
@@ -119,7 +107,7 @@ def test_a3_budget_overhead(benchmark, n, show):
         "overhead": round(overhead, 4),
     }
     if not QUICK:
-        _record(row)
+        record(BENCH_PATH, BENCH_HEADER, row, BENCH_KEY)
 
     table = Table(
         ["n", "states", "ungoverned (s)", "governed (s)", "overhead"],

@@ -32,13 +32,14 @@ benchmark itself still runs and agrees, not the machine's speed.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
 from pathlib import Path
 
 import pytest
+
+from bench_record import record
 
 from repro.analysis.random_systems import random_system
 from repro.analysis.report import Table
@@ -49,6 +50,8 @@ from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_compiled.json"
+BENCH_HEADER = {"bench": "A3 compiled kernel", "paths": ["seed", "compiled"]}
+BENCH_KEY = ("case", "n")
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 SPEEDUP_TARGET = 8.0  # compiled over the seed path, largest case
@@ -116,29 +119,6 @@ def _closure_pairs(system: System) -> int:
     )
 
 
-def _record(case: str, row: dict) -> None:
-    """Append/replace one measurement row in BENCH_compiled.json."""
-    data: dict = {
-        "bench": "A3 compiled kernel",
-        "paths": ["seed", "compiled"],
-        "rows": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [
-        r
-        for r in data.get("rows", [])
-        if not (r.get("case") == case and r.get("n") == row["n"])
-    ]
-    rows.append({"case": case, **row})
-    rows.sort(key=lambda r: (r["case"], r["n"]))
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 @pytest.mark.parametrize("family,n", CASES)
 def test_a3_compiled_vs_seed(benchmark, family, n, show):
     build = FAMILIES[family]
@@ -171,7 +151,7 @@ def test_a3_compiled_vs_seed(benchmark, family, n, show):
         "speedup_compiled_vs_seed": round(vs_seed, 2),
     }
     if not QUICK:
-        _record(family, row)
+        record(BENCH_PATH, BENCH_HEADER, {"case": family, **row}, BENCH_KEY)
 
     table = Table(
         ["family", "n", "states", "pairs", "seed (s)", "compiled (s)",

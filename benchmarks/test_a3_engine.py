@@ -14,12 +14,13 @@ trajectory).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+
+from bench_record import record
 
 from repro.analysis.report import Table
 from repro.core.engine import DependencyEngine
@@ -32,6 +33,8 @@ from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+BENCH_HEADER = {"bench": "A3 engine", "family": "A1 relay chain"}
+BENCH_KEY = ("case", "n")
 
 # REPRO_BENCH_QUICK=1 (the CI bench-smoke job / `make bench-quick`)
 # shrinks the sizes and skips recording and the speedup bar — agreement
@@ -66,25 +69,6 @@ def _seed_matrix(system: System) -> dict[str, dict[str, bool]]:
     }
 
 
-def _record(case: str, row: dict) -> None:
-    """Append/replace one measurement row in BENCH_engine.json."""
-    data: dict = {"bench": "A3 engine", "family": "A1 relay chain", "rows": []}
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [
-        r
-        for r in data.get("rows", [])
-        if not (r.get("case") == case and r.get("n") == row["n"])
-    ]
-    rows.append({"case": case, **row})
-    rows.sort(key=lambda r: (r["case"], r["n"]))
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 @pytest.mark.parametrize("n", SIZES)
 def test_a3_matrix_engine_vs_seed(benchmark, n, show):
     """dependency_matrix: n cold engine builds (tabulation included) vs
@@ -115,7 +99,9 @@ def test_a3_matrix_engine_vs_seed(benchmark, n, show):
         "speedup": round(speedup, 2),
     }
     if not QUICK:
-        _record("dependency_matrix", row)
+        record(
+            BENCH_PATH, BENCH_HEADER, {"case": "dependency_matrix", **row}, BENCH_KEY
+        )
 
     table = Table(
         ["objects", "states", "seed (s)", "engine (s)", "speedup"],
@@ -171,7 +157,9 @@ def test_a3_closure_engine_vs_seed(benchmark, n, show):
         "speedup": round(speedup, 2),
     }
     if not QUICK:
-        _record("dependency_closure", row)
+        record(
+            BENCH_PATH, BENCH_HEADER, {"case": "dependency_closure", **row}, BENCH_KEY
+        )
 
     table = Table(
         ["objects", "states", "seed (s)", "engine (s)", "speedup"],

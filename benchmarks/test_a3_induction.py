@@ -35,12 +35,13 @@ round and skips recording and the speedup bar.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+
+from bench_record import record
 
 from repro.analysis.report import Table
 from repro.core.constraints import Constraint
@@ -58,6 +59,8 @@ from repro.systems.program import (
 )
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_induction.json"
+BENCH_HEADER = {"bench": "A3 batched induction", "paths": ["seed", "batched"]}
+BENCH_KEY = ("workload", "n")
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 SPEEDUP_TARGET = 10.0  # batched over seed, lattice workload, largest case
@@ -145,7 +148,9 @@ def test_a3_lattice_certification(benchmark, n, show):
         "speedup": round(speedup, 2),
     }
     if not QUICK:
-        _record("lattice", row)
+        record(
+            BENCH_PATH, BENCH_HEADER, {"workload": "lattice", **row}, BENCH_KEY
+        )
 
     table = Table(
         ["workload", "n", "states", "obligations", "seed (s)",
@@ -267,7 +272,9 @@ def test_a3_floyd_certification(benchmark, n, show):
         "speedup": round(speedup, 2),
     }
     if not QUICK:
-        _record("floyd", row)
+        record(
+            BENCH_PATH, BENCH_HEADER, {"workload": "floyd", **row}, BENCH_KEY
+        )
 
     table = Table(
         ["workload", "n", "states", "obligations", "seed (s)",
@@ -278,26 +285,3 @@ def test_a3_floyd_certification(benchmark, n, show):
               f"{seed_seconds:.4f}", f"{batched_seconds:.4f}",
               f"{speedup:.1f}x")
     show(table)
-
-
-def _record(workload: str, row: dict) -> None:
-    """Append/replace one measurement row in BENCH_induction.json."""
-    data: dict = {
-        "bench": "A3 batched induction",
-        "paths": ["seed", "batched"],
-        "rows": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [
-        r
-        for r in data.get("rows", [])
-        if not (r.get("workload") == workload and r.get("n") == row["n"])
-    ]
-    rows.append({"workload": workload, **row})
-    rows.sort(key=lambda r: (r["workload"], r["n"]))
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")

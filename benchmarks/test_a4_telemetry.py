@@ -23,12 +23,13 @@ opt-in.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+
+from bench_record import record
 
 from repro import obs
 from repro.analysis.report import Table
@@ -39,6 +40,11 @@ from repro.lang.expr import var
 from repro.obs import telemetry
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
+BENCH_HEADER = {
+    "bench": "A4 telemetry overhead",
+    "paths": ["baseline", "disabled", "enabled"],
+}
+BENCH_KEY = ("n",)
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 OVERHEAD_BAR = 1.05  # disabled / baseline, largest case
@@ -102,24 +108,6 @@ def _enabled_matrix(n: int):
         obs.reset()
 
 
-def _record(row: dict) -> None:
-    data: dict = {
-        "bench": "A4 telemetry overhead",
-        "paths": ["baseline", "disabled", "enabled"],
-        "rows": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [r for r in data.get("rows", []) if r.get("n") != row["n"]]
-    rows.append(row)
-    rows.sort(key=lambda r: r["n"])
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 @pytest.mark.parametrize("n", CASES)
 def test_a4_telemetry_overhead(benchmark, n, show, monkeypatch):
     assert not obs.is_enabled(), "telemetry must be off for the benchmark"
@@ -160,7 +148,7 @@ def test_a4_telemetry_overhead(benchmark, n, show, monkeypatch):
         "enabled_overhead": round(enabled_overhead, 4),
     }
     if not QUICK:
-        _record(row)
+        record(BENCH_PATH, BENCH_HEADER, row, BENCH_KEY)
 
     table = Table(
         ["n", "states", "baseline (s)", "disabled (s)", "enabled (s)",

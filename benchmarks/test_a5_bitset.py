@@ -24,12 +24,13 @@ recording and the bar.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+
+from bench_record import record
 
 from repro.analysis.report import Table
 from repro.core.engine import DependencyEngine
@@ -39,6 +40,8 @@ from repro.lang.expr import var
 pytest.importorskip("numpy")
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_bitset.json"
+BENCH_HEADER = {"bench": "A5 bitset kernel", "paths": ["scalar", "bitset"]}
+BENCH_KEY = ("case", "n")
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 SPEEDUP_TARGET = 10.0  # bitset over the scalar compiled path, largest matrix
@@ -80,29 +83,6 @@ def _time_matrix(make_engine, rounds: int) -> tuple[dict, float, float]:
     return result, best, compile_seconds
 
 
-def _record(case: str, row: dict) -> None:
-    """Append/replace one measurement row in BENCH_bitset.json."""
-    data: dict = {
-        "bench": "A5 bitset kernel",
-        "paths": ["scalar", "bitset"],
-        "rows": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [
-        r
-        for r in data.get("rows", [])
-        if not (r.get("case") == case and r.get("n") == row["n"])
-    ]
-    rows.append({"case": case, **row})
-    rows.sort(key=lambda r: (r["case"], r["n"]))
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 @pytest.mark.parametrize("n", MATRIX_CASES)
 def test_a5_bitset_vs_scalar_matrix(benchmark, n, show):
     scalar_result, scalar_seconds, compile_seconds = _time_matrix(
@@ -139,7 +119,9 @@ def test_a5_bitset_vs_scalar_matrix(benchmark, n, show):
         "speedup_bitset_vs_scalar": round(speedup, 2),
     }
     if not QUICK:
-        _record("xor_ring", row)
+        record(
+            BENCH_PATH, BENCH_HEADER, {"case": "xor_ring", **row}, BENCH_KEY
+        )
 
     table = Table(
         ["family", "n", "states", "pairs", "scalar (s)", "bitset (s)",
@@ -177,13 +159,14 @@ def test_a5_bitset_large_ring(show):
     assert result.provenance.kernel == "compiled-bitset"
     pairs = result.provenance.closure_pairs
 
-    _record("xor_ring_closure", {
+    record(BENCH_PATH, BENCH_HEADER, {
+        "case": "xor_ring_closure",
         "n": n,
         "states": engine.system.space.size,
         "pairs": pairs,
         "bitset_seconds": round(seconds, 6),
         "query": f"depends_ever({{x0}}, x{n // 2})",
-    })
+    }, BENCH_KEY)
 
     table = Table(
         ["family", "n", "states", "pairs", "bitset (s)"],

@@ -31,12 +31,13 @@ and skips recording and the bars.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+
+from bench_record import record
 
 from repro.analysis.diff import diff_systems
 from repro.analysis.report import Table
@@ -49,6 +50,8 @@ from repro.lang.expr import if_expr, var
 pytest.importorskip("numpy")
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_persist.json"
+BENCH_HEADER = {"bench": "A6 persistent store"}
+BENCH_KEY = ("case", "n")
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 WARM_SPEEDUP_TARGET = 10.0  # warm start over cold compute, xor_ring matrix
@@ -88,28 +91,6 @@ def _gated_ring(ring: int, perturbed: bool):
     return b.build()
 
 
-def _record(case: str, row: dict) -> None:
-    """Append/replace one measurement row in BENCH_persist.json."""
-    data: dict = {
-        "bench": "A6 persistent store",
-        "rows": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [
-        r
-        for r in data.get("rows", [])
-        if not (r.get("case") == case and r.get("n") == row["n"])
-    ]
-    rows.append({"case": case, "schema_version": SCHEMA_VERSION, **row})
-    rows.sort(key=lambda r: (r["case"], r["n"]))
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
-
-
 def test_a6_warm_start_vs_cold(tmp_path, show):
     n = RING_N
     store_path = tmp_path / "memo.sqlite"
@@ -144,14 +125,16 @@ def test_a6_warm_start_vs_cold(tmp_path, show):
     states = 2**n
 
     if not QUICK:
-        _record("xor_ring_warm", {
+        record(BENCH_PATH, BENCH_HEADER, {
+            "case": "xor_ring_warm",
+            "schema_version": SCHEMA_VERSION,
             "n": n,
             "states": states,
             "store_bytes": store_path.stat().st_size,
             "cold_seconds": round(cold_seconds, 6),
             "warm_seconds": round(warm_seconds, 6),
             "speedup_warm_vs_cold": round(speedup, 2),
-        })
+        }, BENCH_KEY)
 
     table = Table(
         ["family", "n", "states", "cold (s)", "warm (s)", "speedup"],
@@ -211,7 +194,9 @@ def test_a6_diff_incremental(tmp_path, show):
 
     fraction = report.recompute_fraction
     if not QUICK:
-        _record("gated_ring_diff", {
+        record(BENCH_PATH, BENCH_HEADER, {
+            "case": "gated_ring_diff",
+            "schema_version": SCHEMA_VERSION,
             "n": ring,
             "states": GATES * 2**ring,
             "closures_total": report.closures_total,
@@ -221,7 +206,7 @@ def test_a6_diff_incremental(tmp_path, show):
             "verdicts_changed": len(report.changed),
             "diff_seconds": round(diff_seconds, 6),
             "full_recompute_seconds": round(full_seconds, 6),
-        })
+        }, BENCH_KEY)
 
     table = Table(
         ["family", "states", "closures", "reused", "recomputed",

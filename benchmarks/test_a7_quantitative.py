@@ -32,11 +32,12 @@ shrinks sizes, skips recording and the bars.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
 from pathlib import Path
+
+from bench_record import record
 
 from repro.analysis.report import Table
 from repro.core.engine import shared_engine
@@ -56,6 +57,8 @@ from repro.systems.access_matrix import AccessMatrixSystem
 from repro.systems.program import build_program_system
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_quantitative.json"
+BENCH_HEADER = {"bench": "A7 compiled quantitative substrate"}
+BENCH_KEY = ("case", "n")
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 SPEEDUP_TARGET = 20.0  # compiled vs object path, >= 1024-state systems
@@ -81,28 +84,6 @@ def _disk(bits: int):
         "seek", "disk", apply(mix, var("request"), var("jitter"), symbol="mix")
     )
     return b.build()
-
-
-def _record(case: str, row: dict) -> None:
-    """Append/replace one measurement row in BENCH_quantitative.json."""
-    data: dict = {
-        "bench": "A7 compiled quantitative substrate",
-        "rows": [],
-    }
-    if BENCH_PATH.exists():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except (ValueError, OSError):
-            pass
-    rows = [
-        r
-        for r in data.get("rows", [])
-        if not (r.get("case") == case and r.get("n") == row["n"])
-    ]
-    rows.append({"case": case, **row})
-    rows.sort(key=lambda r: (r["case"], r["n"]))
-    data["rows"] = rows
-    BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def test_a7_measures_compiled_vs_object(show):
@@ -167,13 +148,14 @@ def test_a7_measures_compiled_vs_object(show):
 
     speedup = object_seconds / compiled_seconds
     if not QUICK:
-        _record("mod_sum_measures", {
+        record(BENCH_PATH, BENCH_HEADER, {
+            "case": "mod_sum_measures",
             "n": MOD_N,
             "states": states,
             "object_seconds": round(object_seconds, 6),
             "compiled_seconds": round(compiled_seconds, 6),
             "speedup_compiled_vs_object": round(speedup, 2),
-        })
+        }, BENCH_KEY)
 
     table = Table(
         ["family", "states", "object (s)", "compiled (s)", "speedup"],
@@ -235,14 +217,15 @@ def test_a7_capacity_compiled_vs_object(show):
 
     speedup = object_seconds / compiled_seconds
     if not QUICK:
-        _record("disk_capacity", {
+        record(BENCH_PATH, BENCH_HEADER, {
+            "case": "disk_capacity",
             "n": DISK_BITS,
             "states": states,
             "inputs": len(cmp_inputs),
             "object_seconds": round(object_seconds, 6),
             "compiled_seconds": round(compiled_seconds, 6),
             "speedup_compiled_vs_object": round(speedup, 2),
-        })
+        }, BENCH_KEY)
 
     table = Table(
         ["family", "states", "inputs", "object (s)", "compiled (s)",
@@ -316,21 +299,23 @@ def test_a7_bits_per_operation_curves(show):
 
     if not QUICK:
         for k, bits, averaged, seconds in am_rows:
-            _record("access_matrix_curve", {
+            record(BENCH_PATH, BENCH_HEADER, {
+                "case": "access_matrix_curve",
                 "n": k,
                 "states": ams.space.size,
                 "bits_equivocation_measure": round(bits, 6),
                 "bits_averaged_measure": round(averaged, 6),
                 "seconds": round(seconds, 6),
-            })
+            }, BENCH_KEY)
         for k, bits, averaged, seconds in prog_rows:
-            _record("program_curve", {
+            record(BENCH_PATH, BENCH_HEADER, {
+                "case": "program_curve",
                 "n": k,
                 "states": ps.space.size,
                 "bits_equivocation_measure": round(bits, 6),
                 "bits_averaged_measure": round(averaged, 6),
                 "seconds": round(seconds, 6),
-            })
+            }, BENCH_KEY)
 
     table = Table(
         ["family", "states", "|H|", "equivocation measure", "averaged"],

@@ -38,8 +38,9 @@ TRACE`` summarizes a written trace (per-span timing, counters, gauges).
 outcome, budget state).
 
 Persistence: ``--store PATH`` (or the ``REPRO_STORE`` environment
-variable) attaches a disk-backed memo store, so a repeat query in a new
-process is a row fetch instead of a recompute.  ``repro diff OLD NEW``
+variable) attaches a disk-backed closure store to ``program``, ``diff``
+and ``serve``, so a repeat query in a new process is a row fetch instead
+of a recompute.  ``repro diff OLD NEW``
 compares two versions of a program, reuses every closure the delta left
 intact, and reports which verdicts changed (exit 1 when any did).
 ``repro stats --store PATH`` reports the store's contents.
@@ -276,7 +277,6 @@ def cmd_quantify(args: argparse.Namespace) -> int:
 def _run_quantify(args: argparse.Namespace) -> int:
     with interrupt_token() as token:
         ps = _build(args)
-        _attach_store(args, ps)
         try:
             return _decide_quantify(args, ps, token)
         finally:
@@ -375,7 +375,6 @@ def _decide_quantify(
             print(f"INTERRUPTED: b({'+'.join(sources)} -> {args.target}) "
                   "cancelled by signal")
             print(exc.partial.describe())
-            _flush_on_interrupt(ps)
             _write_quantify_json(args, doc)
             return EXIT_INTERRUPTED
         print(f"UNKNOWN: b({'+'.join(sources)} -> {args.target}) not "
@@ -795,13 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-stats",
         metavar="FILE",
         help="write the engine's cache statistics as JSON on exit",
-    )
-    p_quantify.add_argument(
-        "--store",
-        metavar="PATH",
-        help="attach a persistent memo store (sqlite); composed history "
-        "tables and Def 1-1 buckets are reused across processes "
-        "(REPRO_STORE is the env fallback)",
     )
     p_quantify.set_defaults(handler=cmd_quantify)
 

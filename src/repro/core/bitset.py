@@ -33,6 +33,17 @@ to the scalar kernel's, not merely equivalent (property-tested in
 ``tests/property/test_bitset_agreement.py``; the layer-order argument
 is spelled out in docs/FORMALISM.md, "Bitset frontier closure").
 
+**Parents by BFS position.**  A parent pointer packs the *order
+position* of the expanded pair with the operation index,
+``parent_position * n_ops + op`` (:data:`INITIAL` for seeds), in one
+int64 vector aligned with ``order``.  The frontier of each level is a
+contiguous run of ``order``, so a survivor's parent position is the
+level's base position plus its chunk offset plus its row in the chunk;
+its index in the chunk's flattened (pair, op) candidate stream is
+already ``row * n_ops + op``, so packing is one add.  No
+code-to-position index is ever built, and a witness walks back by plain
+indexing.
+
 The kernel needs NumPy: it engages when :mod:`numpy` imports and
 ``REPRO_BITSET_NUMPY`` is not ``"0"``, and otherwise the engine runs
 every closure on the scalar kernel (measured faster than a pure-Python
@@ -47,7 +58,7 @@ from __future__ import annotations
 
 import os
 from array import array
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.core.budget import BudgetMeter
 
@@ -102,92 +113,6 @@ def _as_code_array(np, codes) -> array:
 def _flat_int64(np, flat):
     """A flat 'L' buffer (array/memoryview) as an int64 numpy vector."""
     return np.frombuffer(flat, dtype=np.uint64).astype(np.int64, copy=False)
-
-
-class PackedParents(Mapping):
-    """Array-backed parent pointers for a bulk closure.
-
-    A drop-in :class:`~collections.abc.Mapping` replacement for the
-    scalar kernel's ``dict[int, int]``: keys are the discovered pair
-    codes *in BFS order* (aligned with the closure's ``order``), values
-    the packed predecessors.  At xor_ring n=12 the closure holds ~8.4M
-    pairs — as a dict of Python ints that is on the order of a gigabyte;
-    as two int64 arrays it is ~130 MB.  Lookups go through a lazily
-    built sorted index (``argsort`` once, ``searchsorted`` per probe):
-    witness reconstruction touches a handful of codes, and the full
-    decode path was already O(m) in Python objects.
-    """
-
-    __slots__ = ("_codes", "_packed", "_np", "_order", "_sorted")
-
-    def __init__(self, codes, packed) -> None:
-        import numpy
-
-        self._codes = codes
-        self._packed = packed
-        self._np = numpy
-        self._order = None
-        self._sorted = None
-
-    def _index(self):
-        if self._sorted is None:
-            self._order = self._np.argsort(self._codes, kind="stable")
-            self._sorted = self._codes[self._order]
-        return self._sorted, self._order
-
-    def _position(self, code: int) -> int:
-        sorted_codes, order = self._index()
-        pos = int(self._np.searchsorted(sorted_codes, code))
-        if pos >= len(sorted_codes) or int(sorted_codes[pos]) != code:
-            raise KeyError(code)
-        return int(order[pos])
-
-    def __getitem__(self, code: int) -> int:
-        return int(self._packed[self._position(code)])
-
-    def __contains__(self, code: object) -> bool:
-        try:
-            self._position(code)  # type: ignore[arg-type]
-        except (KeyError, TypeError, ValueError):
-            return False
-        return True
-
-    def __iter__(self):
-        return (int(code) for code in self._codes)
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def packed_bytes(self) -> bytes:
-        """The packed predecessor values, order-aligned, as native int64
-        bytes — the persistent store's serialization of this mapping
-        (the codes half is the closure's ``order`` array, stored once)."""
-        return (
-            self._np.ascontiguousarray(self._packed, dtype=self._np.int64)
-            .tobytes()
-        )
-
-    def index_bytes(self) -> bytes:
-        """The sorted index's permutation as native int32 bytes, building
-        it if needed.  Persisting this next to the closure lets a warm
-        start skip the per-closure ``argsort`` on its first witness
-        lookup — it is derived data, so a store row without it (or with
-        a malformed one) just falls back to the lazy build."""
-        _, order = self._index()
-        return (
-            self._np.ascontiguousarray(order, dtype=self._np.int32).tobytes()
-        )
-
-    def preload_index(self, blob: bytes) -> None:
-        """Adopt a permutation produced by :meth:`index_bytes`.  Raises
-        ``ValueError`` on a length mismatch (caller falls back to the
-        lazy argsort); a permutation for the *right* codes array is the
-        caller's contract — the store keys rows by content hash."""
-        order = self._np.frombuffer(blob, dtype=self._np.int32)
-        if len(order) != len(self._codes):
-            raise ValueError("parent-index permutation length mismatch")
-        self._order = order
-        self._sorted = self._codes[order]
 
 
 class BitsetKernel:
@@ -282,11 +207,12 @@ class BitsetKernel:
         sat_ids: Iterable[int] | None = None,
         meter: BudgetMeter | None = None,
         stats: dict[str, int] | None = None,
-    ) -> tuple[array, Mapping[int, int]]:
+    ) -> tuple[array, Sequence[int]]:
         """Bulk counterpart of ``CompiledKernel.closure`` — identical
-        contract, identical output sequence.  Parents come back as
-        :class:`PackedParents`, which satisfies the scalar kernel's
-        mapping interface."""
+        contract, identical output sequence.  Parents come back as the
+        int64 NumPy vector the levels were assembled in (an ``array('q')``
+        copy would only slow the hot path down); it indexes like the
+        scalar kernel's ``array('q')``."""
         np = self.np
         scalar = self.scalar
         n = scalar.n
@@ -317,6 +243,9 @@ class BitsetKernel:
         if meter is not None:
             meter.check(0, discovered, discovered)
         frontier = seeds
+        # Order position of the frontier's first pair: each level is the
+        # contiguous run of ``order`` the previous level appended.
+        level_base = 0
         expanded = 0
         levels = 0
         max_frontier = len(seeds)
@@ -358,13 +287,11 @@ class BitsetKernel:
                             pos = pos[first]
                             visited[codes] = True
                             # Parent pointers, packed as
-                            # ``pair * n_ops + op``, reconstructed from
-                            # the survivors' stream positions only.
-                            pair_pos = pos // n_ops
-                            packed = (
-                                chunk[pair_pos].astype(np.int64) * n_ops_or1
-                                + (pos - pair_pos * n_ops)
-                            )
+                            # ``parent_position * n_ops + op``: a stream
+                            # index is already ``row * n_ops + op`` for
+                            # the chunk row it came from, so one offset
+                            # by the chunk's order position packs it.
+                            packed = pos + (level_base + start) * n_ops
                             new_codes.append(codes)
                             new_parents.append(packed)
                             discovered += len(codes)
@@ -375,6 +302,7 @@ class BitsetKernel:
                         meter.advance(
                             len(chunk), discovered, remaining + level_new
                         )
+                level_base += len(frontier)
                 if new_codes:
                     frontier = np.concatenate(new_codes)
                     order_parts.append(frontier)
@@ -397,7 +325,7 @@ class BitsetKernel:
             if len(parent_parts) > 1
             else parent_parts[0]
         )
-        return _as_code_array(np, order_np), PackedParents(order_np, packed_np)
+        return _as_code_array(np, order_np), packed_np
 
 # -- vectorized column scans --------------------------------------------------
 
@@ -407,14 +335,14 @@ def touched_scan(n: int, order) -> bytes:
     endian, bit ``i & 7`` of byte ``i >> 3``) is set iff state ``i``
     appears as a component of some pair in ``order``.
 
-    This is the provenance the persistent store records for delta
-    invalidation: the BFS read every operation's successor table exactly
-    at these ids (each expanded pair applies each operation to both of
-    its components), so a modified system whose changed successor
-    entries avoid this set replays the closure bit-identically — same
-    order, same parents, same witnesses (docs/FORMALISM.md, "Persistent
-    memoization").  Derived from the order array after the fact, so the
-    hot BFS loops pay nothing for the tracking.
+    This is the provenance delta invalidation tests against: the BFS
+    read every operation's successor table exactly at these ids (each
+    expanded pair applies each operation to both of its components), so
+    a modified system whose changed successor entries avoid this set
+    replays the closure bit-identically — same order, same parents, same
+    witnesses (docs/FORMALISM.md, "Persistent memoization").  Derived
+    from the order array when a diff asks, so neither the hot BFS loops
+    nor the store pay for the tracking.
     """
     np = load_numpy()
     if np is not None and len(order):
@@ -433,12 +361,12 @@ def touched_scan(n: int, order) -> bytes:
 
 def first_differing_scan(kernel, order: array) -> dict[str, int] | None:
     """Vectorized Def 5-5 single-target scan over a closure's order:
-    for each object name, the earliest pair code whose components differ
-    there.  Returns ``None`` when the NumPy path is off or the closure
-    is too small to be worth the array round-trip (caller falls back to
-    the scalar sweep — results are identical either way: diagonal pairs
-    never enter a closure, and ``argmax`` of the difference mask is by
-    construction the earliest BFS position)."""
+    for each object name, the order position of the earliest pair whose
+    components differ there.  Returns ``None`` when the NumPy path is
+    off or the closure is too small to be worth the array round-trip
+    (caller falls back to the scalar sweep — results are identical
+    either way: diagonal pairs never enter a closure, and ``argmax`` of
+    the difference mask is by construction the earliest BFS position)."""
     np = load_numpy()
     if np is None or len(order) < SCAN_MIN_PAIRS:
         return None
@@ -451,16 +379,17 @@ def first_differing_scan(kernel, order: array) -> dict[str, int] | None:
         diff = col[i] != col[j]
         k = int(np.argmax(diff))
         if diff[k]:
-            first[name] = int(codes[k])
+            first[name] = k
     return first
 
 
 def first_differing_at_all_scan(
     kernel, order: array, targets: Sequence[str]
 ) -> tuple[bool, int | None]:
-    """Vectorized Def 5-7 set-target scan: the earliest pair differing
-    at *every* target simultaneously.  Returns ``(handled, code)``;
-    ``handled=False`` means the caller should run the scalar sweep."""
+    """Vectorized Def 5-7 set-target scan: the order position of the
+    earliest pair differing at *every* target simultaneously.  Returns
+    ``(handled, position)``; ``handled=False`` means the caller should
+    run the scalar sweep."""
     np = load_numpy()
     if np is None or len(order) < SCAN_MIN_PAIRS:
         return False, None
@@ -474,5 +403,4 @@ def first_differing_at_all_scan(
         mask &= col[i] != col[j]
         if not mask.any():
             return True, None
-    k = int(np.argmax(mask))
-    return True, int(codes[k])
+    return True, int(np.argmax(mask))

@@ -33,6 +33,12 @@ module compiles the whole decision down to integers:
    complete and halves the explored set (the swap-symmetry lemma is
    proved in docs/FORMALISM.md; shortest-witness lengths are preserved).
 
+5. **Parents by BFS position.**  A closure is ``order`` (the pair codes
+   in BFS order) plus one order-aligned int64 array of parent pointers,
+   ``parent_position * n_ops + op`` or :data:`INITIAL` for Def 2-8
+   seeds.  A witness walks positions back by plain indexing, so no
+   code-to-position index is ever built — in RAM or on disk.
+
 The kernel (:class:`CompiledKernel`) is deliberately free of ``State``,
 ``Operation`` and lambda references — plain integer tables — and
 :class:`CompiledSystem` binds it to its
@@ -142,13 +148,14 @@ class CompiledKernel:
         sat_ids: Iterable[int] | None = None,
         meter: BudgetMeter | None = None,
         stats: dict[str, int] | None = None,
-    ) -> tuple[array, dict[int, int]]:
+    ) -> tuple[array, array]:
         """The reachable canonical-pair set for ``(A, phi)``.
 
         Returns ``(order, parents)``: ``order`` is an ``array('L')`` of
         encoded pairs ``i * n + j`` (``i < j``) in BFS layer order, and
-        ``parents[pair]`` packs the predecessor as
-        ``parent_pair * len(ops) + op_index`` (or :data:`INITIAL` for
+        ``parents`` an order-aligned ``array('q')`` whose entry ``p``
+        packs the predecessor of ``order[p]`` as
+        ``parent_position * len(ops) + op_index`` (or :data:`INITIAL` for
         Def 2-8 seeds).  Pure int arithmetic, no object hashing.
 
         Diagonal pairs (two equal components) are pruned: they differ
@@ -172,6 +179,8 @@ class CompiledKernel:
         n = self.n
         successors = self.successors
         n_ops = len(successors) or 1
+        # Visited set and parent pointers in one dict: insertion order is
+        # BFS order, so its values come out aligned with ``order``.
         parents: dict[int, int] = {}
         seed: deque[int] = deque()
         for bucket in self.buckets(source_indices, sat_ids).values():
@@ -208,12 +217,11 @@ class CompiledKernel:
                     if meter is not None:
                         meter.check(cursor, len(parents), frontier)
                     next_check = cursor + interval
-                pair = order[cursor]
-                cursor += 1
-                i, j = divmod(pair, n)
-                # `packed` runs through pair*n_ops + d as d walks the
+                i, j = divmod(order[cursor], n)
+                # `packed` runs through cursor*n_ops + d as d walks the
                 # operations, so the parent pointer is one add per edge.
-                packed = pair * n_ops
+                packed = cursor * n_ops
+                cursor += 1
                 for successor in successors:
                     si = successor[i]
                     sj = successor[j]
@@ -232,7 +240,9 @@ class CompiledKernel:
                 stats["expansions"] = cursor
                 stats["discovered"] = len(parents)
                 stats["frontier_high_water"] = max_frontier
-        return array("L", order), parents
+        # Through a list: array() fills from a list in one pass, but
+        # grows item by item from a dict view (~1.5x slower here).
+        return array("L", order), array("q", list(parents.values()))
 
 
 class CompiledSystem:
@@ -392,29 +402,6 @@ class CompiledSystem:
             obs.count("kernel.history_compose.gathers", len(key) - prefix)
         return base
 
-    def cached_history_array(self, op_indices: Sequence[int]) -> array | None:
-        """Peek the composed-array memo: the array if present, ``None``
-        otherwise — never composes on a miss (callers that have a
-        cheaper source, e.g. the persistent store, check here first)."""
-        with self._lock:
-            return self._composed.get(tuple(op_indices))
-
-    def adopt_history_array(
-        self, op_indices: Sequence[int], comp: array
-    ) -> array:
-        """Install an externally-computed composed array (a persistent-
-        store load) into the memo; returns the instance now cached."""
-        if len(comp) != self.kernel.n:
-            raise ValueError(
-                "composed array length does not match the space"
-            )
-        key = tuple(op_indices)
-        with self._lock:
-            cached = self._composed.get(key)
-            if cached is not None:
-                return cached
-            return self._composed.put(key, comp)
-
     # -- value decoding -------------------------------------------------------
 
     def value_column(self, name: str) -> tuple[array, tuple[Value, ...]]:
@@ -490,9 +477,12 @@ class CompiledClosure:
     """A canonical unordered-pair closure in integer form.
 
     ``order`` lists encoded pairs in BFS (shortest-path) order and
-    ``parents`` packs predecessor pointers, so every target — single or
-    set-valued — is answered by integer column comparisons, and decoding
-    to ``State`` objects happens only when a witness is materialized.
+    ``parents`` is the order-aligned int64 array of parent pointers
+    (``parent_position * n_ops + op``; an ``array('q')``, or the bitset
+    kernel's NumPy vector), so every target — single or set-valued — is
+    answered by integer column comparisons, and decoding to ``State``
+    objects happens only when a witness is materialized.  Queries speak
+    *order positions*: ``order[p]`` is the pair at position ``p``.
     """
 
     __slots__ = (
@@ -511,7 +501,7 @@ class CompiledClosure:
         sources: frozenset[str],
         constraint_name: str,
         order: array,
-        parents: Mapping[int, int],
+        parents: Sequence[int],
         kernel_path: str = "compiled",
         first_diff: Mapping[str, int] | None = None,
     ) -> None:
@@ -532,9 +522,10 @@ class CompiledClosure:
     # -- queries --------------------------------------------------------------
 
     def first_differing(self) -> Mapping[str, int]:
-        """For each object name, the earliest reachable pair differing
-        there (one integer sweep over the BFS order, cached).  A name
-        absent from the mapping is one no reachable pair distinguishes.
+        """For each object name, the order position of the earliest
+        reachable pair differing there (one integer sweep over the BFS
+        order, cached).  A name absent from the mapping is one no
+        reachable pair distinguishes.
 
         Large closures are scanned as vectorized column comparisons
         (:func:`repro.core.bitset.first_differing_scan`); small ones, or
@@ -549,14 +540,12 @@ class CompiledClosure:
             n = kernel.n
             pending = list(zip(kernel.names, kernel.columns))
             first: dict[str, int] = {}
-            for pair in self.order:
+            for pos, pair in enumerate(self.order):
                 i, j = divmod(pair, n)
-                if i == j:
-                    continue
                 found = False
                 for name, column in pending:
                     if column[i] != column[j]:
-                        first[name] = pair
+                        first[name] = pos
                         found = True
                 if found:
                     pending = [nc for nc in pending if nc[0] not in first]
@@ -570,59 +559,59 @@ class CompiledClosure:
         ids appearing as a component of some reachable pair.  The BFS
         read each operation's successor table exactly at these ids, so a
         modified system whose changed entries avoid them replays this
-        closure bit-identically — this is the provenance the persistent
-        store records for delta invalidation (docs/FORMALISM.md,
-        "Persistent memoization")."""
+        closure bit-identically — the provenance delta invalidation
+        tests against, computed from ``order`` when a diff asks
+        (docs/FORMALISM.md, "Persistent memoization")."""
         return bitset.touched_scan(self.compiled.kernel.n, self.order)
 
     def first_differing_at_all(self, targets: Iterable[str]) -> int | None:
-        """The earliest reachable pair differing at *every* object of the
-        target set (Def 5-5/5-7), or ``None``."""
+        """The order position of the earliest reachable pair differing
+        at *every* object of the target set (Def 5-5/5-7), or ``None``."""
         kernel = self.compiled.kernel
         first = self.first_differing()
         target_list = sorted(targets)
         if not all(t in first for t in target_list):
             return None
-        handled, code = bitset.first_differing_at_all_scan(
+        handled, pos = bitset.first_differing_at_all_scan(
             kernel, self.order, target_list
         )
         if handled:
-            return code
+            return pos
         column_of = dict(zip(kernel.names, kernel.columns))
         cols = [column_of[t] for t in target_list]
         n = kernel.n
-        for pair in self.order:
+        for pos, pair in enumerate(self.order):
             i, j = divmod(pair, n)
             for column in cols:
                 if column[i] == column[j]:
                     break
             else:
-                return pair
+                return pos
         return None
 
     # -- decoding -------------------------------------------------------------
 
     def witness_path(
-        self, pair: int
+        self, pos: int
     ) -> tuple[tuple[str, ...], tuple[State, State]]:
-        """The operation names leading from a Def 2-8 initial pair to
-        ``pair``, plus that initial pair decoded to ``State`` objects."""
+        """The operation names leading from a Def 2-8 initial pair to the
+        pair at order position ``pos``, plus that initial pair decoded to
+        ``State`` objects."""
         kernel = self.compiled.kernel
         n_ops = len(kernel.op_names) or 1
+        parents = self.parents
         ops: list[str] = []
-        cursor = pair
         while True:
-            packed = self.parents[cursor]
+            packed = int(parents[pos])
             if packed < 0:
                 break
-            cursor, d = divmod(packed, n_ops)
+            pos, d = divmod(packed, n_ops)
             ops.append(kernel.op_names[d])
         ops.reverse()
-        i, j = divmod(cursor, kernel.n)
-        states = self.compiled.states
-        return tuple(ops), (states[i], states[j])
+        return tuple(ops), self.decode_pair(self.order[pos])
 
     def decode_pair(self, pair: int) -> tuple[State, State]:
+        """One encoded pair ``i * n + j`` as its two ``State`` objects."""
         i, j = divmod(pair, self.compiled.kernel.n)
         states = self.compiled.states
         return (states[i], states[j])

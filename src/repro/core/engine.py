@@ -54,7 +54,6 @@ import os
 import threading
 import time
 import weakref
-from array import array
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 
@@ -152,8 +151,8 @@ class DependencyEngine:
         store: "PersistentStore | str | os.PathLike | None" = None,
     ) -> None:
         self.system = system
-        #: Optional persistent memo store (a :class:`PersistentStore`, a
-        #: path, or ``None``): a third memo tier below the RAM dicts —
+        #: Optional persistent closure store (a :class:`PersistentStore`,
+        #: a path, or ``None``): a memo tier below the RAM closure memo —
         #: RAM -> disk -> compute.
         self._store = PersistentStore.coerce(store)
         self._store_hash: str | None = None
@@ -247,9 +246,8 @@ class DependencyEngine:
         return self._store
 
     def persist_memos(self) -> int:
-        """Write every *complete* in-RAM memo (closures and fixed-history
-        sweep tables) through to the attached persistent store, returning
-        the number of rows written.
+        """Write every *complete* in-RAM closure through to the attached
+        persistent store, returning the number of rows written.
 
         The normal path already persists at the memoization point, but
         work computed before a store was attached may exist only in
@@ -267,15 +265,6 @@ class DependencyEngine:
         for (_, constraint), closure in closures:
             store.save_closure(
                 self._store_hash, self._constraint_key(constraint), closure
-            )
-            written += 1
-        for (source_set, indices, flow_key), table in self._history_tables.items():
-            store.save_history_table(
-                self._store_hash,
-                source_set,
-                indices,
-                self._constraint_key(flow_key),
-                table,
             )
             written += 1
         return written
@@ -306,7 +295,7 @@ class DependencyEngine:
         )
         if row is None:
             return None
-        kernel_path, order, parents, _touched, first_diff = row
+        kernel_path, order, parents, first_diff = row
         return CompiledClosure(
             self.compiled_system(),
             source_set,
@@ -553,10 +542,10 @@ class DependencyEngine:
     def _witness(
         self,
         closure: CompiledClosure,
-        pair: int,
+        pos: int,
         targets: frozenset[str],
     ) -> Witness:
-        op_names, initial = closure.witness_path(pair)
+        op_names, initial = closure.witness_path(pos)
         history = History(self.system.operation(name) for name in op_names)
         return Witness(
             sources=closure.sources,
@@ -612,8 +601,8 @@ class DependencyEngine:
         closure, hit, store_tier = self._closure_info(sources, constraint, budget)
         targets = frozenset([target])
         kernel_path = closure.kernel_path
-        pair = closure.first_differing().get(target)
-        if pair is None:
+        pos = closure.first_differing().get(target)
+        if pos is None:
             return DependencyResult(
                 False,
                 closure.sources,
@@ -627,7 +616,7 @@ class DependencyEngine:
                     store=store_tier,
                 ),
             )
-        witness = self._witness(closure, pair, targets)
+        witness = self._witness(closure, pos, targets)
         return DependencyResult(
             True,
             closure.sources,
@@ -658,8 +647,8 @@ class DependencyEngine:
             raise ConstraintError("target set B must be non-empty")
         closure, hit, store_tier = self._closure_info(sources, constraint, budget)
         kernel_path = closure.kernel_path
-        pair = closure.first_differing_at_all(target_set)
-        if pair is None:
+        pos = closure.first_differing_at_all(target_set)
+        if pos is None:
             return DependencyResult(
                 False,
                 closure.sources,
@@ -673,7 +662,7 @@ class DependencyEngine:
                     store=store_tier,
                 ),
             )
-        witness = self._witness(closure, pair, target_set)
+        witness = self._witness(closure, pos, target_set)
         return DependencyResult(
             True,
             closure.sources,
@@ -741,14 +730,16 @@ class DependencyEngine:
         indices: tuple[int, ...],
         constraint: Constraint | None,
         budget: ExecutionBudget | None = None,
-    ) -> tuple[Mapping[str, tuple[int, int]], bool, str]:
-        """:meth:`_history_table` plus which memo tier served it
-        (RAM LRU -> persistent store -> sweep, like the closures)."""
+    ) -> tuple[Mapping[str, tuple[int, int]], bool]:
+        """:meth:`_history_table` plus whether the RAM LRU served it.
+        Sweep tables are not persisted: next to the compile a warm
+        process pays anyway, one sweep is cheap, so fixed-history
+        answers report the store tier ``off``."""
         key = (source_set, indices, self._flow_key(constraint))
         cached = self._history_tables.get(key)
         if cached is not None:
             obs.count("engine.history_table.memo_hit")
-            return cached, True, "ram" if self._store is not None else "off"
+            return cached, True
         budget = self._resolve_budget(budget)
         meter = (
             budget.start(f"history sweep A={sorted(source_set)} |H|={len(indices)}")
@@ -761,18 +752,8 @@ class DependencyEngine:
             cached = self._history_tables.get(key)
             if cached is not None:
                 obs.count("engine.history_table.memo_hit")
-                return cached, True, "ram" if self._store is not None else "off"
+                return cached, True
             obs.count("engine.history_table.memo_miss")
-            store = self._store_for()
-            if store is not None:
-                loaded = store.load_history_table(
-                    self._store_hash,
-                    source_set,
-                    indices,
-                    self._constraint_key(constraint),
-                )
-                if loaded is not None:
-                    return self._history_tables.put(key, loaded), True, "hit"
             try:
                 with obs.span(
                     "engine.history_sweep",
@@ -794,19 +775,7 @@ class DependencyEngine:
                     )
                 )
                 raise
-            if store is not None:
-                store.save_history_table(
-                    self._store_hash,
-                    source_set,
-                    indices,
-                    self._constraint_key(constraint),
-                    table,
-                )
-            return (
-                self._history_tables.put(key, table),
-                False,
-                "miss" if store is not None else "off",
-            )
+            return self._history_tables.put(key, table), False
         finally:
             flight.release()
 
@@ -816,13 +785,11 @@ class DependencyEngine:
         constraint: Constraint | None,
     ) -> list[list[int]]:
         """The Def 1-1 bucket partition for (source columns, sat(phi))
-        as a list of id lists — the store-backed form of
-        ``kernel.buckets(...).values()`` (first-seen order preserved).
-        Every compiled bucket sweep (history tables, set scans, operation
-        flows) goes through here, so a warm process skips the O(n)
-        partition pass too.  Served RAM-first (a bounded LRU) with
-        single-flight get-or-compute, like the closures — the partitions
-        used to be recomputed (or re-fetched from disk) per sweep."""
+        as a list of id lists — ``kernel.buckets(...).values()`` in
+        first-seen order.  Every compiled bucket sweep (history tables,
+        set scans, operation flows) goes through here, so repeated
+        sweeps share one O(n) partition pass: a bounded RAM LRU with
+        single-flight get-or-compute, like the closures."""
         compiled = self.compiled_system()
         memo_key = (source_indices, self._flow_key(constraint))
         cached = self._bucket_memo.get(memo_key)
@@ -834,19 +801,11 @@ class DependencyEngine:
             cached = self._bucket_memo.get(memo_key)
             if cached is not None:
                 return cached
-            store = self._store_for()
-            if store is not None:
-                key = self._constraint_key(constraint)
-                loaded = store.load_buckets(self._store_hash, source_indices, key)
-                if loaded is not None:
-                    return self._bucket_memo.put(memo_key, loaded)
             buckets = list(
                 compiled.kernel.buckets(
                     source_indices, compiled.sat_ids(constraint)
                 ).values()
             )
-            if store is not None:
-                store.save_buckets(self._store_hash, source_indices, key, buckets)
             return self._bucket_memo.put(memo_key, buckets)
         finally:
             flight.release()
@@ -866,44 +825,13 @@ class DependencyEngine:
         constraint: Constraint | None = None,
     ) -> list[list[int]]:
         """The Def 1-1 bucket partition of sat(phi) for a source set, as
-        id lists in first-seen order — store-backed like every other
+        id lists in first-seen order — memoized like every other
         compiled bucket sweep.  Conditioning on "everything outside A
         held at z" *is* membership in one of these buckets, which is how
         the quantitative layer reads equivocation off them."""
         source_set = self.system.space.check_names(sources)
         compiled = self.compiled_system()
         return self._buckets(compiled.source_indices(source_set), constraint)
-
-    def composed_history_array(self, indices: Iterable[int]) -> array:
-        """The composed successor array for a fixed history, served from
-        the same three tiers as the closures: RAM LRU -> persistent
-        store -> index-gather composition (then written back to both)."""
-        indices = tuple(indices)
-        compiled = self.compiled_system()
-        cached = compiled.cached_history_array(indices)
-        if cached is not None:
-            obs.count("kernel.history_compose.memo_hit")
-            return cached
-        flight = self._flight(("composed", indices))
-        self._acquire_flight(flight)
-        try:
-            cached = compiled.cached_history_array(indices)
-            if cached is not None:
-                obs.count("kernel.history_compose.memo_hit")
-                return cached
-            store = self._store_for()
-            if store is not None and indices:
-                loaded = store.load_composed(
-                    self._store_hash, indices, compiled.kernel.n
-                )
-                if loaded is not None:
-                    return compiled.adopt_history_array(indices, loaded)
-            arr = compiled.history_array(indices)
-            if store is not None and indices:
-                store.save_composed(self._store_hash, indices, arr)
-            return arr
-        finally:
-            flight.release()
 
     def _compiled_history_table(
         self,
@@ -971,7 +899,7 @@ class DependencyEngine:
         self.system.space.check_names([target])
         phi = self._resolve(constraint)
         indices = self._history_indices(history)
-        table, hit, store_tier = self._history_table_info(
+        table, hit = self._history_table_info(
             source_set, indices, constraint, budget
         )
         targets = frozenset([target])
@@ -982,7 +910,7 @@ class DependencyEngine:
                 source_set,
                 targets,
                 phi.name,
-                provenance=self._provenance(hit, budget, store=store_tier),
+                provenance=self._provenance(hit, budget),
             )
         sigma1, sigma2 = self._decode_history_pair(pair)
         witness = Witness(
@@ -998,7 +926,7 @@ class DependencyEngine:
             targets,
             phi.name,
             witness,
-            provenance=self._provenance(hit, budget, witness, store=store_tier),
+            provenance=self._provenance(hit, budget, witness),
         )
 
     def depends_history_set(

@@ -2,16 +2,15 @@
 
 PR 6 made the *first* computation of a closure ~11x faster; this module
 makes the *second* computation — in a new CLI run, a restarted service,
-or another process sharing the file — a single row fetch.  Three memo
-families from the dependency stack persist to one sqlite file
-(stdlib-only, WAL-journaled):
-
-* **closures** — the per-``(A, phi)`` canonical-pair BFS results
-  (``order`` as packed ``array('L')`` bytes, parents as order-aligned
-  int64 bytes), plus each closure's *touched-states bitset*;
-* **history_tables** — the Def 1-1 sweep tables of
-  :meth:`DependencyEngine._history_table`;
-* **buckets** — the Def 1-1 partitions themselves.
+or another process sharing the file — a single row fetch.  One memo
+family persists to one sqlite file (stdlib-only, WAL-journaled): the
+per-``(A, phi)`` canonical-pair BFS results, each row holding ``order``
+(packed ``array('L')`` bytes), the order-aligned int64 parent pointers
+(``parent_position * n_ops + op``, the one format both kernels emit) and
+the Def 5-5 ``first_diff`` scan, nothing else.  Everything else the
+dependency stack memoizes (Def 1-1 buckets, composed history arrays,
+fixed-history sweep tables) is cheaper to recompute next to the compile
+a warm process pays anyway than to read back, so it stays in RAM.
 
 **Canonical system hashing.**  Rows are keyed by a content hash of the
 compiled system: the object names, domain sizes and operation names,
@@ -24,10 +23,10 @@ same way, by the hash of their satisfying-id array (:func:`sat_key`),
 so equal-but-distinct :class:`~repro.core.constraints.Constraint`
 instances share disk entries even though they cannot share RAM entries.
 
-**Incremental invalidation.**  Each stored closure carries the bitset
-of state ids its BFS actually read (every operation's successor table
-is consulted exactly at the components of reached pairs —
-:meth:`CompiledClosure.touched_states`).  When one operation's delta
+**Incremental invalidation.**  A closure's BFS read every operation's
+successor table exactly at the components of its reached pairs — its
+*touched set* (:meth:`CompiledClosure.touched_states`, computed from
+``order`` when a diff runs, not stored).  When one operation's delta
 changes, only the closures whose touched set intersects the changed
 entries are invalid; the rest replay *bit-identically* under the new
 system — same order, parents, and witnesses — and
@@ -48,8 +47,8 @@ caller.  Concurrent processes sharing one store coordinate through WAL
 journaling and a busy timeout.
 
 The on-disk payload is bounded (``max_bytes`` /
-``REPRO_STORE_MAX_BYTES``) with LRU-by-last-access eviction across the
-payload tables, accounted by the shared
+``REPRO_STORE_MAX_BYTES``) with LRU-by-last-access eviction over the
+closure rows, accounted by the shared
 :class:`~repro.core.cache.ByteMeter` policy.  The ``systems`` table is
 exempt: it records each registered system's hash, shape and
 per-operation hashes in one small row, and no stored successor tables —
@@ -73,7 +72,7 @@ import threading
 import time
 import warnings
 from array import array
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
 
 from repro import obs
 from repro.core import bitset
@@ -82,7 +81,7 @@ from repro.core.compiled import CompiledKernel
 
 #: Version of the on-disk layout.  A file written by any other version
 #: degrades soundly to the in-memory path instead of being misread.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Environment variables: default store path (the CLI's ``--store``
 #: fallback) and the byte bound on the payload tables.
@@ -121,44 +120,12 @@ CREATE TABLE IF NOT EXISTS closures (
     n_pairs INTEGER NOT NULL,
     order_blob BLOB NOT NULL,
     parents_blob BLOB NOT NULL,
-    touched BLOB NOT NULL,
     first_diff TEXT,
-    parent_index BLOB,
     nbytes INTEGER NOT NULL,
     last_access REAL NOT NULL,
     PRIMARY KEY (system_hash, sources, constraint_key)
 );
-CREATE TABLE IF NOT EXISTS history_tables (
-    system_hash TEXT NOT NULL,
-    sources TEXT NOT NULL,
-    op_indices TEXT NOT NULL,
-    constraint_key TEXT NOT NULL,
-    table_json TEXT NOT NULL,
-    nbytes INTEGER NOT NULL,
-    last_access REAL NOT NULL,
-    PRIMARY KEY (system_hash, sources, op_indices, constraint_key)
-);
-CREATE TABLE IF NOT EXISTS buckets (
-    system_hash TEXT NOT NULL,
-    source_indices TEXT NOT NULL,
-    constraint_key TEXT NOT NULL,
-    members BLOB NOT NULL,
-    nbytes INTEGER NOT NULL,
-    last_access REAL NOT NULL,
-    PRIMARY KEY (system_hash, source_indices, constraint_key)
-);
-CREATE TABLE IF NOT EXISTS composed (
-    system_hash TEXT NOT NULL,
-    op_indices TEXT NOT NULL,
-    comp BLOB NOT NULL,
-    nbytes INTEGER NOT NULL,
-    last_access REAL NOT NULL,
-    PRIMARY KEY (system_hash, op_indices)
-);
 """
-
-#: The tables the byte budget governs (``systems`` is exempt).
-_PAYLOAD_TABLES = ("closures", "history_tables", "buckets", "composed")
 
 
 # -- canonical hashing --------------------------------------------------------
@@ -217,10 +184,6 @@ def _sources_key(sources: Iterable[str]) -> str:
     return json.dumps(sorted(sources), separators=(",", ":"))
 
 
-def _indices_key(indices: Sequence[int]) -> str:
-    return json.dumps(list(indices), separators=(",", ":"))
-
-
 # -- state bitsets ------------------------------------------------------------
 
 
@@ -270,40 +233,17 @@ def changed_op_indices(old_tables, new_tables) -> list[int]:
 # -- closure serialization ----------------------------------------------------
 
 
-def _parents_blob(order, parents: Mapping[int, int]) -> bytes:
-    """Parent pointers packed order-aligned as native int64 bytes.  The
-    bulk kernel's :class:`~repro.core.bitset.PackedParents` is already
-    order-aligned; the scalar dict's insertion order *is* the BFS order,
-    but the explicit per-code lookup keeps this correct for any Mapping.
-    """
-    if isinstance(parents, bitset.PackedParents):
-        return parents.packed_bytes()
-    return array("q", (parents[code] for code in order)).tobytes()
-
-
-def _decode_order(blob: bytes) -> array:
-    arr = array("L")
+def _decode_array(typecode: str, blob: bytes) -> array:
+    """A stored blob back as a native ``array``: ``'L'`` for the order
+    codes, ``'q'`` for the parent pointers — no NumPy needed, whichever
+    kernel wrote them."""
+    arr = array(typecode)
     arr.frombytes(blob)
     return arr
 
 
-def _decode_parents(order: array, blob: bytes):
-    """The mapping back: :class:`~repro.core.bitset.PackedParents` over
-    the two arrays when NumPy is importable (no per-entry Python ints),
-    a plain dict otherwise — both byte-identical in content to what was
-    stored."""
-    np = bitset.load_numpy()
-    if np is not None:
-        codes = np.frombuffer(order, dtype=np.uint64).astype(np.int64, copy=False)
-        packed = np.frombuffer(blob, dtype=np.int64)
-        return bitset.PackedParents(codes, packed)
-    packed = array("q")
-    packed.frombytes(blob)
-    return dict(zip(order, packed))
-
-
-def _decode_first_diff(text) -> dict | None:
-    """The stored first-differing scan back as ``{name: pair_code}``, or
+def _decode_first_diff(text, n_pairs: int) -> dict | None:
+    """The stored first-differing scan back as ``{name: position}``, or
     ``None`` when absent/malformed (the closure then just re-scans)."""
     if not text:
         return None
@@ -312,34 +252,11 @@ def _decode_first_diff(text) -> dict | None:
     except ValueError:
         return None
     if not isinstance(decoded, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) for k, v in decoded.items()
+        isinstance(k, str) and isinstance(v, int) and 0 <= v < n_pairs
+        for k, v in decoded.items()
     ):
         return None
     return decoded
-
-
-def _pack_buckets(buckets: Sequence[Sequence[int]]) -> bytes:
-    flat = array("L", [len(buckets)])
-    for bucket in buckets:
-        flat.append(len(bucket))
-        flat.extend(bucket)
-    return flat.tobytes()
-
-
-def _unpack_buckets(blob: bytes) -> list[list[int]]:
-    flat = array("L")
-    flat.frombytes(blob)
-    count = flat[0]
-    out: list[list[int]] = []
-    pos = 1
-    for _ in range(count):
-        size = flat[pos]
-        pos += 1
-        out.append(list(flat[pos : pos + size]))
-        pos += size
-    if pos != len(flat):
-        raise ValueError("bucket blob length mismatch")
-    return out
 
 
 # -- the store ----------------------------------------------------------------
@@ -534,31 +451,14 @@ class PersistentStore:
         wins, like the engine's ``setdefault`` memo).  The engine only
         calls this after its memoization point, which budget trips raise
         past — partial results can never reach here."""
-        order = closure.order
-        order_blob = order.tobytes()
-        parents_blob = _parents_blob(order, closure.parents)
-        touched = closure.touched_states()
-        # Two derived artifacts ride along so a warm start replays
-        # queries without re-deriving them: the Def 5-5 first-differing
-        # scan and the packed-parents sorted index.  Both are pure
-        # functions of the closure (content-hash keying keeps them
-        # correct) and both are work the *saving* process does anyway on
-        # its first query — forcing them here just moves that work in
-        # front of the persist.
+        order_blob = closure.order.tobytes()
+        parents_blob = closure.parents.tobytes()
+        # The Def 5-5 first-differing scan rides along so a warm start
+        # answers queries without re-scanning: it is a pure function of
+        # the closure (content-hash keying keeps it correct), and the
+        # saving process runs it on its first query anyway.
         first_diff = json.dumps(closure.first_differing(), sort_keys=True)
-        parents = closure.parents
-        index_blob = (
-            parents.index_bytes()
-            if isinstance(parents, bitset.PackedParents)
-            else None
-        )
-        nbytes = (
-            len(order_blob)
-            + len(parents_blob)
-            + len(touched)
-            + len(first_diff)
-            + (len(index_blob) if index_blob is not None else 0)
-        )
+        nbytes = len(order_blob) + len(parents_blob) + len(first_diff)
         with self._lock:
             conn = self._connect()
             if conn is None:
@@ -568,20 +468,18 @@ class PersistentStore:
                     conn.execute(
                         "INSERT OR IGNORE INTO closures "
                         "(system_hash, sources, constraint_key, kernel_path, "
-                        " n_pairs, order_blob, parents_blob, touched, "
-                        " first_diff, parent_index, nbytes, last_access) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                        " n_pairs, order_blob, parents_blob, first_diff, "
+                        " nbytes, last_access) "
+                        "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                         (
                             h,
                             _sources_key(closure.sources),
                             constraint_key,
                             closure.kernel_path,
-                            len(order),
+                            len(closure),
                             order_blob,
                             parents_blob,
-                            touched,
                             first_diff,
-                            index_blob,
                             nbytes,
                             time.time(),
                         ),
@@ -596,14 +494,13 @@ class PersistentStore:
 
     def load_closure(
         self, h: str, sources: Iterable[str], constraint_key: str
-    ) -> tuple[str, array, Mapping[int, int], bytes, dict | None] | None:
+    ) -> tuple[str, array, array, dict | None] | None:
         """One row fetch instead of a BFS: ``(kernel_path, order,
-        parents, touched, first_diff)`` for ``(A, phi)`` under system
-        ``h``, or ``None``.  A structurally corrupt row is deleted and
-        counted (``store.corrupt``), then treated as a miss — the engine
-        just recomputes.  The two derived columns are best-effort: a
-        missing or malformed ``first_diff``/``parent_index`` degrades to
-        lazy recomputation, never to a miss."""
+        parents, first_diff)`` for ``(A, phi)`` under system ``h``, or
+        ``None``.  A structurally corrupt row is deleted and counted
+        (``store.corrupt``), then treated as a miss — the engine just
+        recomputes.  ``first_diff`` is best-effort: a missing or
+        malformed scan degrades to lazy recomputation, never to a miss."""
         key = (h, _sources_key(sources), constraint_key)
         with self._lock:
             conn = self._connect()
@@ -614,23 +511,14 @@ class PersistentStore:
                 with obs.span("store.load", kind="closure"):
                     row = conn.execute(
                         "SELECT kernel_path, n_pairs, order_blob, "
-                        "parents_blob, touched, first_diff, parent_index "
-                        "FROM closures "
+                        "parents_blob, first_diff FROM closures "
                         "WHERE system_hash=? AND sources=? AND constraint_key=?",
                         key,
                     ).fetchone()
                     if row is None:
                         self._miss(conn)
                         return None
-                    (
-                        kernel_path,
-                        n_pairs,
-                        order_blob,
-                        parents_blob,
-                        touched,
-                        first_diff_json,
-                        index_blob,
-                    ) = row
+                    kernel_path, n_pairs, order_blob, parents_blob, first_diff = row
                     if (
                         len(order_blob) != 8 * n_pairs
                         or len(parents_blob) != 8 * n_pairs
@@ -653,309 +541,36 @@ class PersistentStore:
             except sqlite3.Error as exc:
                 self._degrade("load_closure failed", exc)
                 return None
-        order = _decode_order(order_blob)
-        parents = _decode_parents(order, parents_blob)
-        if index_blob is not None and isinstance(parents, bitset.PackedParents):
-            try:
-                parents.preload_index(index_blob)
-            except (ValueError, TypeError):
-                pass  # fall back to the lazy argsort
-        first_diff = _decode_first_diff(first_diff_json)
-        return kernel_path, order, parents, touched, first_diff
-
-    def closure_rows(
-        self, h: str
-    ) -> list[tuple[str, str, bytes]]:
-        """Every stored closure key for system ``h`` with its touched
-        bitset — ``(sources_json, constraint_key, touched)`` — the
-        inventory ``repro diff`` sweeps for survivors."""
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                return []
-            try:
-                return list(
-                    conn.execute(
-                        "SELECT sources, constraint_key, touched "
-                        "FROM closures WHERE system_hash=?",
-                        (h,),
-                    )
-                )
-            except sqlite3.Error as exc:
-                self._degrade("closure_rows failed", exc)
-                return []
-
-    # -- history tables -------------------------------------------------------
-
-    def save_history_table(
-        self,
-        h: str,
-        sources: Iterable[str],
-        op_indices: Sequence[int],
-        constraint_key: str,
-        table: Mapping[str, tuple[int, int]],
-    ) -> None:
-        payload = json.dumps(
-            {name: list(pair) for name, pair in table.items()},
-            separators=(",", ":"),
+        return (
+            kernel_path,
+            _decode_array("L", order_blob),
+            _decode_array("q", parents_blob),
+            _decode_first_diff(first_diff, n_pairs),
         )
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                return
-            try:
-                with obs.span("store.save", kind="history_table"):
-                    conn.execute(
-                        "INSERT OR IGNORE INTO history_tables "
-                        "(system_hash, sources, op_indices, constraint_key, "
-                        " table_json, nbytes, last_access) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                        (
-                            h,
-                            _sources_key(sources),
-                            _indices_key(op_indices),
-                            constraint_key,
-                            payload,
-                            len(payload),
-                            time.time(),
-                        ),
-                    )
-                    self.writes += 1
-                    obs.count("store.write")
-                    self._bump_meta(conn, "writes")
-                    self._enforce_budget(conn)
-                    conn.commit()
-            except sqlite3.Error as exc:
-                self._degrade("save_history_table failed", exc)
-
-    def load_history_table(
-        self,
-        h: str,
-        sources: Iterable[str],
-        op_indices: Sequence[int],
-        constraint_key: str,
-    ) -> dict[str, tuple[int, int]] | None:
-        key = (h, _sources_key(sources), _indices_key(op_indices), constraint_key)
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                self._miss(None)
-                return None
-            try:
-                with obs.span("store.load", kind="history_table"):
-                    row = conn.execute(
-                        "SELECT table_json FROM history_tables "
-                        "WHERE system_hash=? AND sources=? AND op_indices=? "
-                        "AND constraint_key=?",
-                        key,
-                    ).fetchone()
-                    if row is None:
-                        self._miss(conn)
-                        return None
-                    conn.execute(
-                        "UPDATE history_tables SET last_access=? "
-                        "WHERE system_hash=? AND sources=? AND op_indices=? "
-                        "AND constraint_key=?",
-                        (time.time(), *key),
-                    )
-                    self._hit(conn)
-                    conn.commit()
-            except sqlite3.Error as exc:
-                self._degrade("load_history_table failed", exc)
-                return None
-        try:
-            decoded = json.loads(row[0])
-            return {name: (pair[0], pair[1]) for name, pair in decoded.items()}
-        except (ValueError, TypeError, IndexError):
-            obs.count("store.corrupt")
-            return None
-
-    # -- Def 1-1 buckets ------------------------------------------------------
-
-    def save_buckets(
-        self,
-        h: str,
-        source_indices: Sequence[int],
-        constraint_key: str,
-        buckets: Sequence[Sequence[int]],
-    ) -> None:
-        blob = _pack_buckets(buckets)
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                return
-            try:
-                with obs.span("store.save", kind="buckets"):
-                    conn.execute(
-                        "INSERT OR IGNORE INTO buckets "
-                        "(system_hash, source_indices, constraint_key, "
-                        " members, nbytes, last_access) "
-                        "VALUES (?, ?, ?, ?, ?, ?)",
-                        (
-                            h,
-                            _indices_key(source_indices),
-                            constraint_key,
-                            blob,
-                            len(blob),
-                            time.time(),
-                        ),
-                    )
-                    self.writes += 1
-                    obs.count("store.write")
-                    self._bump_meta(conn, "writes")
-                    self._enforce_budget(conn)
-                    conn.commit()
-            except sqlite3.Error as exc:
-                self._degrade("save_buckets failed", exc)
-
-    def load_buckets(
-        self, h: str, source_indices: Sequence[int], constraint_key: str
-    ) -> list[list[int]] | None:
-        key = (h, _indices_key(source_indices), constraint_key)
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                self._miss(None)
-                return None
-            try:
-                with obs.span("store.load", kind="buckets"):
-                    row = conn.execute(
-                        "SELECT members FROM buckets WHERE system_hash=? "
-                        "AND source_indices=? AND constraint_key=?",
-                        key,
-                    ).fetchone()
-                    if row is None:
-                        self._miss(conn)
-                        return None
-                    conn.execute(
-                        "UPDATE buckets SET last_access=? WHERE system_hash=? "
-                        "AND source_indices=? AND constraint_key=?",
-                        (time.time(), *key),
-                    )
-                    self._hit(conn)
-                    conn.commit()
-            except sqlite3.Error as exc:
-                self._degrade("load_buckets failed", exc)
-                return None
-        try:
-            return _unpack_buckets(row[0])
-        except ValueError:
-            obs.count("store.corrupt")
-            return None
-
-    # -- composed history arrays ----------------------------------------------
-
-    def save_composed(
-        self, h: str, op_indices: Sequence[int], comp
-    ) -> None:
-        """Persist one composed successor array (``comp[i] = id(H(i))``)
-        keyed by the history's op-index tuple, in the canonical 8-byte
-        little-endian encoding :func:`delta_hash` hashes."""
-        blob = _table_bytes(comp)
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                return
-            try:
-                with obs.span("store.save", kind="composed"):
-                    conn.execute(
-                        "INSERT OR IGNORE INTO composed "
-                        "(system_hash, op_indices, comp, nbytes, last_access) "
-                        "VALUES (?, ?, ?, ?, ?)",
-                        (
-                            h,
-                            _indices_key(op_indices),
-                            blob,
-                            len(blob),
-                            time.time(),
-                        ),
-                    )
-                    self.writes += 1
-                    obs.count("store.write")
-                    self._bump_meta(conn, "writes")
-                    self._enforce_budget(conn)
-                    conn.commit()
-            except sqlite3.Error as exc:
-                self._degrade("save_composed failed", exc)
-
-    def load_composed(
-        self, h: str, op_indices: Sequence[int], n: int
-    ) -> array | None:
-        """The composed array back, or ``None`` on miss/corruption.  A
-        blob of the wrong length for an ``n``-state space is deleted and
-        counted rather than trusted."""
-        key = (h, _indices_key(op_indices))
-        with self._lock:
-            conn = self._connect()
-            if conn is None:
-                self._miss(None)
-                return None
-            try:
-                with obs.span("store.load", kind="composed"):
-                    row = conn.execute(
-                        "SELECT comp FROM composed WHERE system_hash=? "
-                        "AND op_indices=?",
-                        key,
-                    ).fetchone()
-                    if row is None:
-                        self._miss(conn)
-                        return None
-                    if len(row[0]) != 8 * n:
-                        conn.execute(
-                            "DELETE FROM composed WHERE system_hash=? "
-                            "AND op_indices=?",
-                            key,
-                        )
-                        conn.commit()
-                        obs.count("store.corrupt")
-                        self._miss(None)
-                        return None
-                    conn.execute(
-                        "UPDATE composed SET last_access=? WHERE system_hash=? "
-                        "AND op_indices=?",
-                        (time.time(), *key),
-                    )
-                    self._hit(conn)
-                    conn.commit()
-            except sqlite3.Error as exc:
-                self._degrade("load_composed failed", exc)
-                return None
-        arr = array("L")
-        arr.frombytes(row[0])
-        if sys.byteorder != "little":
-            arr.byteswap()
-        return arr
 
     # -- bounding / stats -----------------------------------------------------
 
     def _payload_bytes(self, conn: sqlite3.Connection) -> int:
-        total = 0
-        for table in _PAYLOAD_TABLES:
-            row = conn.execute(
-                f"SELECT COALESCE(SUM(nbytes), 0) FROM {table}"
-            ).fetchone()
-            total += row[0]
-        return total
+        return conn.execute(
+            "SELECT COALESCE(SUM(nbytes), 0) FROM closures"
+        ).fetchone()[0]
 
     def _enforce_budget(self, conn: sqlite3.Connection) -> None:
-        """LRU-by-last-access eviction across the payload tables until
-        the :class:`~repro.core.cache.ByteMeter` budget holds.  The
+        """LRU-by-last-access eviction over the closure rows until the
+        :class:`~repro.core.cache.ByteMeter` budget holds.  The
         ``systems`` table is exempt: one small row per distinct system,
         bounded by the number of systems, not by the query stream."""
         self.meter.set_used(self._payload_bytes(conn))
         obs.gauge_max("store.bytes", self.meter.used)
         while self.meter.over_budget():
             victim = conn.execute(
-                " UNION ALL ".join(
-                    f"SELECT '{t}' AS tbl, rowid, nbytes, last_access FROM {t}"
-                    for t in _PAYLOAD_TABLES
-                )
-                + " ORDER BY last_access ASC LIMIT 1"
+                "SELECT rowid, nbytes FROM closures "
+                "ORDER BY last_access ASC LIMIT 1"
             ).fetchone()
             if victim is None:
                 break
-            tbl, rowid, nbytes, _ = victim
-            conn.execute(f"DELETE FROM {tbl} WHERE rowid=?", (rowid,))
+            rowid, nbytes = victim
+            conn.execute("DELETE FROM closures WHERE rowid=?", (rowid,))
             self.meter.evicted(nbytes)
             self._bump_meta(conn, "evictions")
 
@@ -998,7 +613,7 @@ class PersistentStore:
                 return out
             try:
                 tables: dict[str, int] = {}
-                for table in ("systems", *_PAYLOAD_TABLES):
+                for table in ("systems", "closures"):
                     tables[table] = conn.execute(
                         f"SELECT COUNT(*) FROM {table}"
                     ).fetchone()[0]

@@ -18,7 +18,7 @@ will do — while encouraging named, inspectable operations (see
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import OperationError, SpaceError
 from repro.core.state import Space, State
@@ -279,17 +279,3 @@ class Behavior:
 
     def __repr__(self) -> str:
         return f"Behavior({self.initial!r}, {self.history!r})"
-
-
-def transition_table(
-    system: System, operation: Operation | str
-) -> Mapping[State, State]:
-    """The full transition function of one operation as a dict.
-
-    The dependency engine does not use this: it flattens each operation
-    into a dense integer successor array
-    (:class:`repro.core.compiled.CompiledSystem`) — O(1) indexed loads,
-    no ``State`` hashing.  The dict form is for inspecting small systems.
-    """
-    op = system.operation(operation) if isinstance(operation, str) else operation
-    return {state: op(state) for state in system.space.states()}

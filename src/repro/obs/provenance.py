@@ -37,7 +37,8 @@ MEMO_OUTCOMES = ("hit", "fresh", "n/a")
 #: Budget states.
 BUDGET_STATES = ("none", "governed", "exhausted")
 
-#: Persistent-store outcomes (PR 7).  ``off`` — no store attached (the
+#: Persistent-store outcomes (PR 7).  ``off`` — no store attached, or
+#: an answer kind the store does not keep (fixed-history sweeps; the
 #: field is omitted from ``describe()``); ``ram`` — the in-RAM memo
 #: answered before the disk tier was consulted; ``hit`` — deserialized
 #: from disk instead of computed; ``miss`` — disk consulted, absent,

@@ -9,8 +9,8 @@ exact arithmetic on the compiled integer kernel (PR 2/3):
   ``sat_ids``/weight arrays; uniform-over-phi comes straight from
   :meth:`CompiledSystem.sat_ids`.
 - push-forward is one index-gather through the composed successor array
-  (``comp[i] = id(H(state_i))``), served RAM -> store -> compose by
-  :meth:`DependencyEngine.composed_history_array`.
+  (``comp[i] = id(H(state_i))``), memoized per history by
+  :meth:`CompiledSystem.history_array`.
 - marginals and joints read off the kernel's per-object value columns
   (``domain[column[i]]``) — no ``State`` is materialized.
 - the averaged measure is one bucket-grouped pass over the Def 1-1
@@ -86,7 +86,7 @@ class CompiledDistribution:
     ``ids`` (ascending) and ``weights`` are parallel: ``weights[k]`` is
     the probability of ``state_{ids[k]}`` as a ``Fraction``.  The
     constraint a uniform distribution was built over is retained so the
-    bucket sweeps can reuse the engine's store-backed Def 1-1 partition
+    bucket sweeps can reuse the engine's memoized Def 1-1 partition
     for the same ``sat(phi)``.
     """
 
@@ -167,9 +167,8 @@ class QuantEngine:
     """Section 7.4 / 1.8 measures over one system's compiled kernel.
 
     Binds to a :class:`~repro.core.engine.DependencyEngine` (the
-    process-shared one by default) so composed successor arrays, Def 1-1
-    buckets, and the persistent store are all shared with the
-    qualitative provers.  Histories containing operations that are not
+    process-shared one by default) so composed successor arrays and
+    Def 1-1 buckets are shared with the qualitative provers.  Histories containing operations that are not
     the system's own fall back to the object path (counted as
     ``quant.fallback_object``), so every method accepts exactly what the
     object functions accept.
@@ -224,7 +223,7 @@ class QuantEngine:
                 self._coerce_history(history)
             )
             return self._as_compiled(pushed)
-        comp = self.engine.composed_history_array(indices)
+        comp = self.engine.compiled_system().history_array(indices)
         return self._as_compiled(dist).push_forward(comp)
 
     @staticmethod
@@ -354,7 +353,7 @@ class QuantEngine:
             )
             if meter is not None:
                 meter.check(0, 0)
-            comp = self.engine.composed_history_array(indices)
+            comp = self.engine.compiled_system().history_array(indices)
             joint = self._joint_initial_final(
                 cdist, comp, source_names, target, meter
             )
@@ -381,7 +380,7 @@ class QuantEngine:
 
         A slice — "everything outside A held at z" — is exactly one
         Def 1-1 bucket of the partition for source set A, so the uniform
-        case reuses the engine's store-backed partition (the very
+        case reuses the engine's memoized partition (the very
         buckets the history sweep builds).  Non-uniform supports group
         by the same source-zeroed rest id arithmetically.
         """
@@ -450,7 +449,7 @@ class QuantEngine:
             )
             if meter is not None:
                 meter.check(0, 0)
-            comp = self.engine.composed_history_array(indices)
+            comp = compiled.history_array(indices)
             cols = compiled.value_columns(source_names)
             tcol, tdom = compiled.value_column(target)
             total = 0.0
@@ -547,7 +546,7 @@ class QuantEngine:
             )
             if meter is not None:
                 meter.check(0, 0)
-            comp = self.engine.composed_history_array(indices)
+            comp = compiled.history_array(indices)
             tcols = [(t, compiled.value_column(t)) for t in target_list]
             out: dict[tuple[str, str], float] = {}
             scanned = 0
@@ -640,7 +639,7 @@ class QuantEngine:
             )
             if meter is not None:
                 meter.check(0, 0)
-            comp = self.engine.composed_history_array(indices)
+            comp = compiled.history_array(indices)
             tcol, tdom = compiled.value_column(target)
             position = {name: k for k, name in enumerate(kernel.names)}
             src = [

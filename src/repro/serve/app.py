@@ -34,7 +34,7 @@ never a fabricated verdict.
 
 **Drain.**  SIGTERM/SIGINT stop the listener, let in-flight requests
 finish (up to ``drain_grace_seconds``, then cancel their tokens), flush
-every session's completed memos to the store, and exit 0.  A drained
+every session's completed closures to the store, and exit 0.  A drained
 server that restarts answers warm from those rows.
 """
 

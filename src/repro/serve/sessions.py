@@ -60,7 +60,7 @@ class Session:
         return bool(store is not None and store.degraded)
 
     def persist(self) -> int:
-        """Flush completed memos to the store; 0 when none attached."""
+        """Flush completed closures to the store; 0 when none attached."""
         return self.engine.persist_memos()
 
     def brief(self) -> dict[str, object]:

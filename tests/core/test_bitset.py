@@ -2,8 +2,9 @@
 
 These pin the *mechanics*: vectorized Def 1-1 seeding reproduces the
 scalar bucket order exactly, the bulk BFS emits the byte-identical
-``order``/parents sequence of the scalar kernel, ``PackedParents`` behaves like the dict it replaces, and the vectorized
-column scans agree with the scalar sweeps.  Statistical agreement over
+``order``/parents sequence of the scalar kernel (parents packed by BFS
+position), and the vectorized column scans agree with the scalar
+sweeps.  Statistical agreement over
 random systems lives in ``tests/property/test_bitset_agreement.py``.
 """
 
@@ -19,7 +20,6 @@ from repro.core.bitset import (
     INITIAL,
     SCAN_MIN_PAIRS,
     BitsetKernel,
-    PackedParents,
     load_numpy,
 )
 from repro.core.budget import BudgetExceededError, ExecutionBudget
@@ -29,7 +29,7 @@ from repro.core.system import Operation, System
 from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy")
 
 
 @pytest.fixture
@@ -100,7 +100,7 @@ class TestClosureIdentity:
             s_order, s_parents = compiled.kernel.closure(sources)
             b_order, b_parents = bulk.closure(sources)
             assert list(b_order) == list(s_order)
-            assert dict(b_parents) == s_parents
+            assert list(b_parents) == list(s_parents)
 
     def test_closure_identical_on_xor_ring(self):
         compiled = CompiledSystem(xor_ring(6))
@@ -108,7 +108,7 @@ class TestClosureIdentity:
         s_order, s_parents = compiled.kernel.closure((0,))
         b_order, b_parents = bulk.closure((0,))
         assert list(b_order) == list(s_order)
-        assert dict(b_parents) == s_parents
+        assert list(b_parents) == list(s_parents)
 
     def test_closure_with_constrained_sat_ids(self, mixed):
         compiled = CompiledSystem(mixed)
@@ -117,7 +117,7 @@ class TestClosureIdentity:
         s_order, s_parents = compiled.kernel.closure((0,), sat)
         b_order, b_parents = bulk.closure((0,), sat)
         assert list(b_order) == list(s_order)
-        assert dict(b_parents) == s_parents
+        assert list(b_parents) == list(s_parents)
 
     def test_no_operations_closure_is_seeds_only(self):
         space = Space({"a": (0, 1), "b": (0, 1)})
@@ -126,8 +126,8 @@ class TestClosureIdentity:
         s_order, s_parents = compiled.kernel.closure((0,))
         b_order, b_parents = bulk.closure((0,))
         assert list(b_order) == list(s_order)
-        assert dict(b_parents) == s_parents
-        assert all(v == INITIAL for v in dict(b_parents).values())
+        assert list(b_parents) == list(s_parents)
+        assert all(v == INITIAL for v in b_parents)
 
     def test_numpy_required_raises_without_numpy(self, mixed, monkeypatch):
         monkeypatch.setenv(ENV_NUMPY_FLAG, "0")
@@ -168,29 +168,6 @@ class TestBudget:
         assert stats["frontier_high_water"] >= 1
 
 
-class TestPackedParents:
-    def _packed(self):
-        codes = np.array([7, 3, 11, 5], dtype=np.int64)
-        packed = np.array([INITIAL, 70, 30, 110], dtype=np.int64)
-        return PackedParents(codes, packed)
-
-    def test_mapping_behaviour(self):
-        parents = self._packed()
-        assert len(parents) == 4
-        assert parents[7] == INITIAL
-        assert parents[3] == 70
-        assert 11 in parents
-        assert 4 not in parents
-        assert "x" not in parents
-        with pytest.raises(KeyError):
-            parents[4]
-
-    def test_iteration_is_discovery_order(self):
-        parents = self._packed()
-        assert list(parents) == [7, 3, 11, 5]
-        assert dict(parents) == {7: INITIAL, 3: 70, 11: 30, 5: 110}
-
-
 class TestVectorScans:
     def _big_closure(self):
         compiled = CompiledSystem(xor_ring(6))
@@ -206,30 +183,30 @@ class TestVectorScans:
         # is unavailable.
         kernel = compiled.kernel
         reference: dict[str, int] = {}
-        for pair in order:
+        for pos, pair in enumerate(order):
             i, j = divmod(pair, kernel.n)
             for name, column in zip(kernel.names, kernel.columns):
                 if name not in reference and column[i] != column[j]:
-                    reference[name] = pair
+                    reference[name] = pos
         assert scanned == reference
 
     def test_first_differing_at_all_scan_matches_scalar(self):
         compiled, order = self._big_closure()
         kernel = compiled.kernel
         for targets in (["x0", "x1"], ["x2"], list(kernel.names)):
-            handled, code = bitset.first_differing_at_all_scan(
+            handled, pos = bitset.first_differing_at_all_scan(
                 kernel, order, sorted(targets)
             )
             assert handled
             column_of = dict(zip(kernel.names, kernel.columns))
             cols = [column_of[t] for t in sorted(targets)]
             expected = None
-            for pair in order:
+            for k, pair in enumerate(order):
                 i, j = divmod(pair, kernel.n)
                 if all(c[i] != c[j] for c in cols):
-                    expected = pair
+                    expected = k
                     break
-            assert code == expected
+            assert pos == expected
 
     def test_scans_decline_below_threshold(self, mixed):
         compiled = CompiledSystem(mixed)

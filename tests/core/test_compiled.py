@@ -11,9 +11,12 @@ object engine and the seed reference is covered separately by
 from __future__ import annotations
 
 import pickle
+import random
 
 import pytest
 
+from repro.analysis.random_systems import random_system
+from repro.core.bitset import load_numpy
 from repro.core.compiled import INITIAL, CompiledSystem
 from repro.core.constraints import Constraint
 from repro.core.engine import DependencyEngine
@@ -109,9 +112,10 @@ class TestClosure:
         compiled = CompiledSystem(mixed)
         phi = Constraint(mixed.space, lambda s: s["b"], name="b")
         closure = compiled.closure(frozenset({"a"}), phi, "b")
-        for pair, packed in closure.parents.items():
-            if packed is INITIAL or packed == INITIAL:
-                s1, s2 = closure.decode_pair(pair)
+        assert len(closure.parents) == len(closure.order)
+        for pos, packed in enumerate(closure.parents):
+            if packed == INITIAL:
+                s1, s2 = closure.decode_pair(closure.order[pos])
                 assert phi(s1) and phi(s2)
                 assert s1.equal_except_at(s2, {"a"})
                 assert s1 != s2
@@ -120,19 +124,19 @@ class TestClosure:
         compiled = CompiledSystem(mixed)
         closure = compiled.closure(frozenset({"a"}))
         first = closure.first_differing()
-        for name, pair in first.items():
-            ops, (s1, s2) = closure.witness_path(pair)
+        for name, pos in first.items():
+            ops, (s1, s2) = closure.witness_path(pos)
             history = mixed.history(*ops)
             after1, after2 = history(s1), history(s2)
-            assert (after1, after2) == closure.decode_pair(pair)
+            assert (after1, after2) == closure.decode_pair(closure.order[pos])
             assert after1[name] != after2[name]
 
     def test_first_differing_at_all_needs_simultaneous_difference(self, relay):
         compiled = CompiledSystem(relay)
         closure = compiled.closure(frozenset({"a"}))
-        pair = closure.first_differing_at_all({"m", "b"})
-        assert pair is not None
-        s1, s2 = closure.decode_pair(pair)
+        pos = closure.first_differing_at_all({"m", "b"})
+        assert pos is not None
+        s1, s2 = closure.decode_pair(closure.order[pos])
         assert s1["m"] != s2["m"] and s1["b"] != s2["b"]
         # From source {b} nothing ever reaches back to "a": no such pair.
         assert compiled.closure(frozenset({"b"})).first_differing_at_all(
@@ -145,6 +149,72 @@ class TestClosure:
         engine = DependencyEngine(relay)
         decoded = engine._closure({"a"}).pairs()
         assert list(closure.pairs()) == list(decoded)
+
+
+def _xor_ring(n: int) -> System:
+    b = SystemBuilder()
+    for i in range(n):
+        b.integers(f"x{i}", bits=1)
+    for i in range(n):
+        nxt = f"x{(i + 1) % n}"
+        b.op_assign(f"m{i}", nxt, (var(nxt) + var(f"x{i}")) % 2)
+    return b.build()
+
+
+def _bfs_tree_case(case):
+    """``xor_ring(6)`` unconstrained, or a small random system under a
+    constraint that rules out one value of its first object."""
+    if case == "xor_ring6":
+        return _xor_ring(6), None
+    rng = random.Random(case)
+    system = random_system(
+        rng,
+        n_objects=rng.choice([2, 3]),
+        domain_size=rng.choice([2, 3]),
+        n_operations=rng.choice([1, 2, 3]),
+    )
+    first = system.space.names[0]
+    value = system.space.domain(first)[0]
+    phi = Constraint(system.space, lambda s: s[first] != value, name="phi")
+    return system, phi
+
+
+class TestBfsTree:
+    """Parents are a BFS tree over order positions, for both kernels:
+    ``parents[p] == INITIAL`` exactly when ``order[p]`` is a Def 2-8
+    seed, and otherwise ``q, d = divmod(parents[p], n_ops)`` names an
+    *earlier* position whose pair operation ``d`` maps, canonically
+    oriented, onto ``order[p]``."""
+
+    @pytest.mark.parametrize("kernel", ["scalar", "bitset"])
+    @pytest.mark.parametrize("case", ["xor_ring6", *range(6)])
+    def test_parents_form_a_bfs_tree(self, case, kernel):
+        if kernel == "bitset" and load_numpy() is None:
+            pytest.skip("the bitset kernel needs NumPy")
+        system, phi = _bfs_tree_case(case)
+        compiled = CompiledSystem(system)
+        k = compiled.kernel
+        n, n_ops = k.n, len(k.successors)
+        sat_ids = compiled.sat_ids(phi)
+        sat = set(range(n)) if sat_ids is None else set(sat_ids)
+        for name in system.space.names:
+            sources = frozenset({name})
+            closure = compiled.closure(sources, phi, mode=kernel)
+            order, parents = closure.order, closure.parents
+            assert len(parents) == len(order)
+            for p, pair in enumerate(order):
+                i, j = divmod(pair, n)
+                s1, s2 = compiled.states[i], compiled.states[j]
+                seed = i in sat and j in sat and s1.equal_except_at(s2, sources)
+                packed = int(parents[p])
+                assert (packed == INITIAL) == seed, (name, p)
+                if packed == INITIAL:
+                    continue
+                q, d = divmod(packed, n_ops)
+                assert 0 <= q < p
+                qi, qj = divmod(order[q], n)
+                si, sj = k.successors[d][qi], k.successors[d][qj]
+                assert min(si, sj) * n + max(si, sj) == pair
 
 
 class TestPickling:

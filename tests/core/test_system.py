@@ -9,7 +9,6 @@ from repro.core.system import (
     History,
     Operation,
     System,
-    transition_table,
 )
 
 
@@ -146,11 +145,3 @@ class TestBehavior:
         prefixes = list(behavior.prefixes())
         assert len(prefixes) == 3
         assert prefixes[0].history.is_empty
-
-
-class TestTransitionTable:
-    def test_table_matches_semantics(self, system, space, copy_op):
-        table = transition_table(system, "copy")
-        assert len(table) == space.size
-        for state, successor in table.items():
-            assert successor == copy_op(state)

@@ -7,9 +7,9 @@ shortest witness — not just every verdict — survives the kernel swap.
 Over seeded random systems these tests assert, across constraint
 flavours:
 
-- identical closure ``order`` and ``parents`` (compared as dicts — the
-  bulk kernel returns an array-backed
-  :class:`~repro.core.bitset.PackedParents` mapping);
+- identical closure ``order`` and ``parents`` (compared as lists — the
+  scalar kernel returns an ``array('q')``, the bulk kernel its int64
+  NumPy vector, both packed by BFS position);
 - identical verdicts *and identical witness histories* for every
   (source, target) single and set query;
 - with NumPy switched off (``REPRO_BITSET_NUMPY=0``) a bitset-requested
@@ -89,7 +89,7 @@ def test_closures_and_witnesses_identical(seed, numpy_path, monkeypatch):
         s_closure = scalar._closure({source}, phi)
         b_closure = bulk._closure({source}, phi)
         assert list(b_closure.order) == list(s_closure.order)
-        assert dict(b_closure.parents) == dict(s_closure.parents)
+        assert list(b_closure.parents) == list(s_closure.parents)
         assert b_closure.kernel_path == "compiled-bitset"
         assert s_closure.kernel_path == "compiled"
         for target in system.space.names:
@@ -173,4 +173,4 @@ def test_threaded_bitset_warm_identical_to_serial_scalar(seed):
         p_closure = pooled._closure(source_set, phi)
         s_closure = serial._closure(source_set, phi)
         assert list(p_closure.order) == list(s_closure.order)
-        assert dict(p_closure.parents) == dict(s_closure.parents)
+        assert list(p_closure.parents) == list(s_closure.parents)

@@ -1,7 +1,7 @@
 """Unit tests for the compiled quantitative substrate
 (:mod:`repro.quantitative.compiled`): distribution round-trips, exact
-parity with the object channel path, the batched channel layer, the
-composed-array store round-trip, and the foreign-operation fallback."""
+parity with the object channel path, the batched channel layer, and
+the foreign-operation fallback."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ import pytest
 
 from repro import obs
 from repro.core.constraints import Constraint
-from repro.core.engine import DependencyEngine
 from repro.core.errors import DistributionError
-from repro.core.store import PersistentStore
 from repro.core.system import History
 from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
@@ -214,52 +212,3 @@ class TestForeignOperationFallback:
             obs.reset()
         assert got == bits_transmitted(uniform_obj, {"a1"}, "beta", h)
         assert counters.get("quant.fallback_object", 0) >= 1
-
-
-class TestComposedStoreRoundTrip:
-    def test_composed_array_persists_and_reloads(self, tmp_path):
-        b = SystemBuilder().integers("a1", "a2", "beta", bits=2)
-        b.op_assign("d", "beta", (var("a1") + var("a2")) % 4)
-        system = b.build()
-        path = tmp_path / "memo.sqlite"
-
-        with PersistentStore(path) as store:
-            cold = DependencyEngine(system, store=store)
-            h = History.of(system.operation("d"))
-            indices = cold.history_indices(h)
-            computed = cold.composed_history_array(indices)
-            assert store.stats()["rows"]["composed"] == 1
-
-        with PersistentStore(path) as store:
-            warm = DependencyEngine(system, store=store)
-            obs.enable(reset=True)
-            try:
-                reloaded = warm.composed_history_array(indices)
-                counters = obs.snapshot().counters
-            finally:
-                obs.disable()
-                obs.reset()
-            assert list(reloaded) == list(computed)
-            # Served from disk: a store hit, no fresh gathers.
-            assert counters.get("store.hit", 0) >= 1
-            assert counters.get("kernel.history_compose.gathers", 0) == 0
-
-    def test_quant_measures_share_the_store(self, tmp_path):
-        b = SystemBuilder().integers("a1", "a2", "beta", bits=2)
-        b.op_assign("d", "beta", (var("a1") + var("a2")) % 4)
-        system = b.build()
-        path = tmp_path / "memo.sqlite"
-        h = History.of(system.operation("d"))
-
-        with PersistentStore(path) as store:
-            quant = QuantEngine(engine=DependencyEngine(system, store=store))
-            first = quant.bits_transmitted_averaged(
-                quant.uniform(), {"a1"}, "beta", h
-            )
-
-        with PersistentStore(path) as store:
-            quant = QuantEngine(engine=DependencyEngine(system, store=store))
-            again = quant.bits_transmitted_averaged(
-                quant.uniform(), {"a1"}, "beta", h
-            )
-        assert again == first == pytest.approx(2.0)
