@@ -6,20 +6,25 @@ seed reference checkers do, every edge hashes a ``(State, State)`` tuple
 and every stopping test compares Python values field by field.  This
 module compiles the whole decision down to integers:
 
-1. **Dense state ids.**  The space is enumerated once, in its canonical
-   ``Space.states()`` order, and each state becomes its index ``i`` in
-   that enumeration.  Because enumeration is the mixed-radix product of
-   the per-object domains, the id decomposes arithmetically::
+1. **Dense state ids.**  Each state's id is its index ``i`` in the
+   canonical ``Space.states()`` order.  Because enumeration is the
+   mixed-radix product of the per-object domains, the id decomposes
+   arithmetically::
 
        i == sum(code_k(i) * stride_k)   with   code_k(i) = (i // stride_k) % size_k
 
    where ``stride_k`` is the product of the domain sizes of the objects
-   after object ``k`` in lexicographic order.  No dict, no hashing.
+   after object ``k`` in lexicographic order
+   (:class:`~repro.core.state.StateIndex`).  Ids and states convert by
+   that arithmetic, so the space is never enumerated as ``State``
+   objects.
 
-2. **Flat successor arrays.**  Each operation ``delta`` is executed once
-   per state at compile time into ``array('L')`` with
-   ``successors[d][i] = id(delta(state_i))`` — a BFS edge is one O(1)
-   indexed load instead of a ``State``-keyed dict lookup.
+2. **Flat successor arrays.**  ``successors[d][i] = id(delta(state_i))``
+   in ``array('L')``, adopted from the system's one tabulation
+   (:meth:`~repro.core.system.System.successor_tables`): a structured
+   operation's command runs once on the space's value columns, any
+   other operation once per state.  A BFS edge is one O(1) indexed load
+   instead of a ``State``-keyed dict lookup.
 
 3. **Per-object value columns.**  ``columns[k][i]`` is the domain index
    of object ``k`` in state ``i``; "do two states differ at beta" is an
@@ -248,52 +253,45 @@ class CompiledKernel:
 class CompiledSystem:
     """A :class:`~repro.core.system.System` compiled to integer tables.
 
-    Enumerates the space once (executing each operation exactly once per
-    state), then serves every pair-graph question from :attr:`kernel`.
-    ``State`` objects are kept only for decoding ids back at the API
-    boundary.
+    Adopts the system's successor tables
+    (:meth:`~repro.core.system.System.successor_tables`, tabulated from
+    value columns for structured operations and once per state for the
+    rest) and serves every pair-graph question from :attr:`kernel`.
+    ``State`` objects appear only when an id is decoded at the API
+    boundary (:meth:`state`); :attr:`states` materializes all of them
+    only for callers that ask.
     """
 
-    __slots__ = ("system", "states", "kernel", "_bitset", "_lock", "_sat_ids", "_composed")
+    __slots__ = ("system", "kernel", "_states", "_bitset", "_lock", "_sat_ids", "_composed")
 
     def __init__(self, system: System) -> None:
         self.system = system
-        space = system.space
-        states = tuple(space.states())
-        n = len(states)
-        names = space.names
-        sizes = tuple(len(space.domain(name)) for name in names)
-        self.states = states
-        strides_rev: list[int] = []
-        acc = 1
-        for size in reversed(sizes):
-            strides_rev.append(acc)
-            acc *= size
-        strides = tuple(reversed(strides_rev))
-        # Enumeration is the mixed-radix product, so columns are pure
-        # arithmetic in the id — no per-state value hashing.
-        columns = tuple(
-            array("L", ((i // stride) % size for i in range(n)))
-            for stride, size in zip(strides, sizes)
-        )
-        index = {state: i for i, state in enumerate(states)}
-        successors = tuple(
-            array("L", (index[op(state)] for state in states))
-            for op in system.operations
-        )
+        index = system.space.index
         self.kernel = CompiledKernel(
-            n,
-            names,
-            sizes,
-            strides,
-            columns,
+            index.n,
+            index.names,
+            index.sizes,
+            index.strides,
+            tuple(index.code_column(k) for k in range(len(index.names))),
             tuple(op.name for op in system.operations),
-            successors,
+            system.successor_tables(),
         )
+        self._states: tuple[State, ...] | None = None
         self._bitset: bitset.BitsetKernel | None = None
         self._lock = threading.Lock()
         self._sat_ids = LRUCache(SAT_IDS_CAP, "kernel.sat_ids.evictions")
         self._composed = LRUCache(COMPOSED_CAP, "kernel.history_compose.evictions")
+
+    @property
+    def states(self) -> tuple[State, ...]:
+        """Every state, indexed by id (built on first use)."""
+        if self._states is None:
+            self._states = tuple(self.system.space.states())
+        return self._states
+
+    def state(self, i: int) -> State:
+        """The state with id ``i``, decoded arithmetically."""
+        return self.system.space.index.state(i)
 
     def bitset_kernel(self) -> bitset.BitsetKernel:
         """The bulk (bitset/NumPy) twin of :attr:`kernel`, built once
@@ -335,16 +333,38 @@ class CompiledSystem:
             cached = self._sat_ids.get(constraint, _MISSING)
         if cached is not _MISSING:
             return cached
-        sat = constraint.satisfying
-        value: array | None
-        if len(sat) == self.kernel.n:
-            value = None
+        equalities = constraint.equalities
+        if equalities is not None:
+            value = self._equality_ids(equalities)
         else:
-            value = array(
-                "L", (i for i, state in enumerate(self.states) if state in sat)
-            )
+            sat = constraint.satisfying
+            if len(sat) == self.kernel.n:
+                value = None
+            else:
+                id_of = self.system.space.index.id_of
+                value = array("L", sorted(id_of(state) for state in sat))
         with self._lock:
             return self._sat_ids.put(constraint, value)
+
+    def _equality_ids(
+        self, equalities: tuple[tuple[str, Value], ...]
+    ) -> array | None:
+        """The ascending ids of the states meeting every ``name == value``
+        equality, read off the domains: each object keeps the codes whose
+        value passes the predicate's own ``bool(value == wanted)``, and
+        the ids are the mixed-radix product of the kept codes."""
+        index = self.system.space.index
+        kept = [list(range(size)) for size in index.sizes]
+        for name, wanted in equalities:
+            k = index.position[name]
+            domain = index.domains[k]
+            kept[k] = [code for code in kept[k] if domain[code] == wanted]
+        if all(len(codes) == size for codes, size in zip(kept, index.sizes)):
+            return None
+        ids = [0]
+        for codes, stride in zip(kept, index.strides):
+            ids = [base + code * stride for base in ids for code in codes]
+        return array("L", ids)
 
     # -- fixed histories ------------------------------------------------------
 
@@ -613,8 +633,7 @@ class CompiledClosure:
     def decode_pair(self, pair: int) -> tuple[State, State]:
         """One encoded pair ``i * n + j`` as its two ``State`` objects."""
         i, j = divmod(pair, self.compiled.kernel.n)
-        states = self.compiled.states
-        return (states[i], states[j])
+        return (self.compiled.state(i), self.compiled.state(j))
 
     def pairs(self) -> Iterator[tuple[State, State]]:
         """Decode the whole closure in BFS order (API-boundary use only —

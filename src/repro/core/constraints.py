@@ -17,7 +17,12 @@ so every classification above is *decided* by enumeration, with witnesses.
 
 Implementation notes
 --------------------
-The satisfying set is computed once and cached.  The structural classes have
+The satisfying set is computed once and cached.  Constraints built from
+equalities (:meth:`Constraint.true`, :meth:`Constraint.equals`,
+:meth:`Constraint.where`, and ``&`` / :meth:`Constraint.renamed` of such
+constraints) also record them as :attr:`Constraint.equalities`, so the
+compiled kernel reads their satisfying ids off the domains without
+evaluating the predicate on any state.  The structural classes have
 fast set-theoretic characterizations used instead of the naive quantifier
 scans:
 
@@ -54,7 +59,7 @@ class Constraint:
     True
     """
 
-    __slots__ = ("space", "name", "_fn", "_sat")
+    __slots__ = ("space", "name", "_fn", "_equalities", "_sat")
 
     def __init__(
         self,
@@ -65,7 +70,16 @@ class Constraint:
         self.space = space
         self.name = name
         self._fn = fn
+        self._equalities: tuple[tuple[str, Value], ...] | None = None
         self._sat: frozenset[State] | None = None
+
+    def _with_equalities(
+        self, equalities: tuple[tuple[str, Value], ...] | None
+    ) -> Constraint:
+        # Set after construction: __init__ keeps its (space, fn, name)
+        # signature, which wrappers of it rely on.
+        object.__setattr__(self, "_equalities", equalities)
+        return self
 
     def __setattr__(self, key: str, value: object) -> None:
         if key == "_sat" or not hasattr(self, "_sat"):
@@ -98,6 +112,13 @@ class Constraint:
             )
         return self._sat  # type: ignore[return-value]
 
+    @property
+    def equalities(self) -> tuple[tuple[str, Value], ...] | None:
+        """The ``(name, value)`` pairs this constraint is the conjunction
+        of (``sigma.name == value`` each, ``()`` for ``tt``), or ``None``
+        when its predicate is opaque."""
+        return self._equalities
+
     def states(self) -> Iterator[State]:
         """Iterate satisfying states (deterministic order)."""
         sat = self.satisfying
@@ -122,7 +143,7 @@ class Constraint:
     @classmethod
     def true(cls, space: Space) -> Constraint:
         """The trivial constraint ``tt`` (no restriction at all)."""
-        return cls(space, lambda _s: True, name="tt")
+        return cls(space, lambda _s: True, name="tt")._with_equalities(())
 
     @classmethod
     def false(cls, space: Space) -> Constraint:
@@ -134,7 +155,9 @@ class Constraint:
         """``sigma.name = value`` — the paper's constant constraints
         (e.g. ``sigma.alpha = 13`` in section 3.2)."""
         space.check_names([name])
-        return cls(space, lambda s: s[name] == value, name=f"{name}={value!r}")
+        return cls(
+            space, lambda s: s[name] == value, name=f"{name}={value!r}"
+        )._with_equalities(((name, value),))
 
     @classmethod
     def where(cls, space: Space, **fixed: Value) -> Constraint:
@@ -146,7 +169,7 @@ class Constraint:
             space,
             lambda s: all(s[n] == v for n, v in items),
             name=label or "tt",
-        )
+        )._with_equalities(items)
 
     @classmethod
     def from_states(
@@ -169,11 +192,16 @@ class Constraint:
 
     def __and__(self, other: Constraint) -> Constraint:
         self._check_same_space(other)
+        both = (
+            None
+            if self._equalities is None or other._equalities is None
+            else self._equalities + other._equalities
+        )
         return Constraint(
             self.space,
             lambda s: self._fn(s) and other._fn(s),
             name=f"({self.name} & {other.name})",
-        )
+        )._with_equalities(both)
 
     def __or__(self, other: Constraint) -> Constraint:
         """The *join* of two constraints (section 3.5 studies when joins of
@@ -201,7 +229,7 @@ class Constraint:
     def renamed(self, name: str) -> Constraint:
         clone = Constraint(self.space, self._fn, name=name)
         object.__setattr__(clone, "_sat", self._sat)
-        return clone
+        return clone._with_equalities(self._equalities)
 
     # -- structural classes -----------------------------------------------------
 

@@ -337,8 +337,10 @@ class DependencyEngine:
     def compiled_system(self) -> CompiledSystem:
         """The integer-kernel compilation of the system, built once (lazy).
 
-        Compilation executes each operation exactly once per state, and
-        everything afterwards is indexed array reads.
+        Compilation adopts the system's successor tables (tabulated when
+        the system was built, or now for an unchecked system) and adds
+        the per-object code columns; everything afterwards is indexed
+        array reads.
         """
         if self._compiled is None:
             compiled = CompiledSystem(self.system)
@@ -870,8 +872,8 @@ class DependencyEngine:
         return first
 
     def _decode_history_pair(self, pair: tuple[int, int]) -> Pair:
-        states = self.compiled_system().states
-        return (states[pair[0]], states[pair[1]])
+        compiled = self.compiled_system()
+        return (compiled.state(pair[0]), compiled.state(pair[1]))
 
     def depends_history(
         self,

@@ -26,6 +26,7 @@ quantified over state pairs, and enumeration decides them exactly.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 
 from repro.core.errors import DomainError, SpaceError, StateError, UnknownObjectError
@@ -199,7 +200,7 @@ class Space:
     deterministic).  ``Space`` instances are immutable and hashable.
     """
 
-    __slots__ = ("_domains", "_domain_sets", "_names", "_size", "_hash")
+    __slots__ = ("_domains", "_domain_sets", "_names", "_size", "_hash", "_state_index")
 
     def __init__(self, domains: Mapping[str, Iterable[Value]]):
         if not domains:
@@ -216,8 +217,7 @@ class Space:
             normalized[name] = values
         object.__setattr__(self, "_domains", normalized)
         # Frozen per-object value sets: membership checks (__contains__,
-        # state()) must not rebuild a set per lookup — System._check_closed
-        # alone performs |Sigma| * |Delta| of them.
+        # state()) must not rebuild a set per lookup.
         object.__setattr__(
             self,
             "_domain_sets",
@@ -233,6 +233,7 @@ class Space:
         object.__setattr__(
             self, "_hash", hash(tuple((n, v) for n, v in normalized.items()))
         )
+        object.__setattr__(self, "_state_index", None)
 
     def __setattr__(self, key: str, value: object) -> None:
         raise AttributeError("Space is immutable")
@@ -284,6 +285,13 @@ class Space:
             if name not in self._domains:
                 raise UnknownObjectError(name, self._names)
         return result
+
+    @property
+    def index(self) -> StateIndex:
+        """The dense-id coding of this space's states (built once)."""
+        if self._state_index is None:
+            object.__setattr__(self, "_state_index", StateIndex(self))
+        return self._state_index  # type: ignore[return-value]
 
     def states(self) -> Iterator[State]:
         """Enumerate every state of the space, deterministically."""
@@ -343,6 +351,156 @@ class Space:
                 raise SpaceError(f"object {name!r} already exists")
             merged[name] = tuple(domain)
         return Space(merged)
+
+
+class StateIndex:
+    """Dense ids for the states of a space, in ``Space.states()`` order.
+
+    Enumeration is the mixed-radix product of the per-object domains
+    (objects in lexicographic order, the last varying fastest), so the
+    id of a state is ``sum(code_k * stride_k)``: ``code_k`` is the
+    position of its value in object ``k``'s domain and ``stride_k`` the
+    product of the domain sizes after ``k``.  Ids and states convert by
+    that arithmetic and one value-to-code dict per object, without
+    enumerating the space.
+    """
+
+    __slots__ = ("names", "domains", "sizes", "strides", "codes", "position", "n")
+
+    def __init__(self, space: Space) -> None:
+        self.names = space.names
+        self.domains = tuple(space.domain(name) for name in self.names)
+        self.sizes = tuple(len(domain) for domain in self.domains)
+        strides: list[int] = []
+        acc = 1
+        for size in reversed(self.sizes):
+            strides.append(acc)
+            acc *= size
+        self.strides = tuple(reversed(strides))
+        self.n = acc
+        self.codes = tuple(
+            {value: code for code, value in enumerate(domain)}
+            for domain in self.domains
+        )
+        self.position = {name: k for k, name in enumerate(self.names)}
+
+    def state(self, i: int) -> State:
+        """The state with id ``i``."""
+        return State(
+            zip(
+                self.names,
+                (
+                    domain[i // stride % size]
+                    for domain, stride, size in zip(
+                        self.domains, self.strides, self.sizes
+                    )
+                ),
+            )
+        )
+
+    def id_of(self, state: State) -> int:
+        """The id of ``state``; :class:`KeyError` when it is not a state
+        of the space (the test ``state in space`` performs)."""
+        if state.names != self.names:
+            raise KeyError(state)
+        i = 0
+        for codes, stride, value in zip(self.codes, self.strides, state._values):
+            i += codes[value] * stride
+        return i
+
+    def code_column(self, k: int) -> array:
+        """``column[i]`` is the domain position of object ``k`` in state
+        ``i``: each code repeated ``stride_k`` times, cycled."""
+        stride, size = self.strides[k], self.sizes[k]
+        run: list[int] = []
+        for code in range(size):
+            run += [code] * stride
+        return array("L", run) * (self.n // (stride * size))
+
+    def values(self, k: int, ids: Iterable[int]) -> list[Value]:
+        """The values of object ``k`` in the states ``ids``."""
+        domain, stride, size = self.domains[k], self.strides[k], self.sizes[k]
+        return [domain[i // stride % size] for i in ids]
+
+
+class Lanes:
+    """A batch of states of one space, side by side as value columns.
+
+    ``ids`` are the batch's state ids (:class:`StateIndex`); ``columns``
+    maps object names to value lists aligned with ``ids``.  The column
+    evaluators of the ``lang`` ASTs (``Expr.lanes``, ``Command.lanes``)
+    run on lanes: a column is decoded from the ids the first time it is
+    read, an assignment replaces one column (recorded in ``written``),
+    and a guard splits the batch with :meth:`take`.
+    :meth:`successor_ids` turns the written columns back into ids.
+    """
+
+    __slots__ = ("index", "ids", "columns", "written")
+
+    def __init__(
+        self,
+        index: StateIndex,
+        ids: list[int],
+        columns: dict[str, list[Value]] | None = None,
+        written: frozenset[str] = frozenset(),
+    ) -> None:
+        self.index = index
+        self.ids = ids
+        self.columns = {} if columns is None else columns
+        self.written = written
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def column(self, name: str) -> list[Value]:
+        """The values of ``name`` across the batch; :class:`KeyError`
+        for an object the space does not have."""
+        column = self.columns.get(name)
+        if column is None:
+            column = self.index.values(self.index.position[name], self.ids)
+            self.columns[name] = column
+        return column
+
+    def take(self, positions: list[int]) -> Lanes:
+        """The sub-batch at ``positions`` (written columns carried over,
+        the rest decoded again on demand)."""
+        return Lanes(
+            self.index,
+            list(map(self.ids.__getitem__, positions)),
+            {
+                name: list(map(self.columns[name].__getitem__, positions))
+                for name in self.written
+            },
+            self.written,
+        )
+
+    def assign(self, name: str, values: list[Value]) -> Lanes:
+        """The batch with object ``name`` rebound lane by lane
+        (:meth:`State.replace` across the batch)."""
+        if name not in self.index.position:
+            raise StateError(f"replace: unknown object names {[name]!r}")
+        return Lanes(
+            self.index,
+            self.ids,
+            {**self.columns, name: values},
+            self.written | {name},
+        )
+
+    def successor_ids(self) -> list[int]:
+        """Each lane's state id after its writes.  :class:`KeyError`
+        when a written value lies outside its object's domain (the
+        state would lie outside the space)."""
+        index = self.index
+        ids = self.ids
+        out = ids
+        for name in self.written:
+            k = index.position[name]
+            codes, stride, size = index.codes[k], index.strides[k], index.sizes[k]
+            out = [
+                j + (codes[value] - i // stride % size) * stride
+                for j, i, value in zip(out, ids, self.columns[name])
+            ]
+        return out
 
 
 def boolean_space(*names: str) -> Space:

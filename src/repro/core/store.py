@@ -155,8 +155,8 @@ def system_hash(kernel: CompiledKernel) -> str:
     """The canonical content hash of a compiled system: its shape
     (names, domain sizes, operation names) plus every operation's
     :func:`delta_hash`.  This is the store's primary key — computing it
-    requires compiling (each operation runs once per state), so warm
-    starts skip the BFS, not the compile.
+    requires the successor tables (one tabulation of every operation
+    over the space), so warm starts skip the BFS, not the tabulation.
     """
     header = json.dumps(
         {

@@ -18,10 +18,11 @@ will do — while encouraging named, inspectable operations (see
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from repro.core.errors import OperationError, SpaceError
-from repro.core.state import Space, State
+from repro.core.state import Lanes, Space, State
 
 
 class Operation:
@@ -59,6 +60,12 @@ class Operation:
 
     def __repr__(self) -> str:
         return f"Operation({self.name!r})"
+
+    def column_table(self, lanes: Lanes) -> array | None:
+        """This operation's successor table computed from the value
+        columns of ``lanes`` (the whole space), or ``None`` when it can
+        only run state by state — as a plain callable always does."""
+        return None
 
     def then(self, other: Operation) -> Operation:
         """Sequential composition as a single operation (left first)."""
@@ -156,6 +163,8 @@ class System:
     set of named operations.  A system optionally checks that every operation
     is *closed* over the space (maps space states to space states) — this is
     the executable analogue of operations being functions ``Sigma -> Sigma``.
+    The check is the tabulation of :meth:`successor_tables`, which the
+    system keeps for its compilation.
 
     >>> from repro.core.state import boolean_space
     >>> sp = boolean_space("a", "b")
@@ -166,7 +175,7 @@ class System:
 
     # __weakref__ lets repro.core.engine.shared_engine key its process-wide
     # engine table weakly by system, so engines die with their systems.
-    __slots__ = ("space", "_operations", "__weakref__")
+    __slots__ = ("space", "_operations", "_tables", "__weakref__")
 
     def __init__(
         self,
@@ -181,18 +190,21 @@ class System:
                 raise SpaceError(f"duplicate operation name {op.name!r}")
             ops[op.name] = op
         self._operations = ops
+        self._tables: tuple[array, ...] | None = None
         if check_closed:
-            self._check_closed()
+            self.successor_tables()
 
-    def _check_closed(self) -> None:
-        for state in self.space.states():
-            for op in self._operations.values():
-                result = op(state)
-                if result not in self.space:
-                    raise OperationError(
-                        f"operation {op.name!r} maps {state!r} to {result!r}, "
-                        "which lies outside the space"
-                    )
+    def successor_tables(self) -> tuple[array, ...]:
+        """One ``array('L')`` per operation, in operation order, with
+        ``tables[d][i]`` the id (:attr:`Space.index
+        <repro.core.state.Space.index>`) of ``delta_d(state_i)``.
+
+        Built once, by :func:`tabulate`; an operation that leaves the
+        space raises :class:`~repro.core.errors.OperationError`.
+        """
+        if self._tables is None:
+            self._tables = tabulate(self.space, self.operations)
+        return self._tables
 
     @property
     def operations(self) -> tuple[Operation, ...]:
@@ -246,6 +258,43 @@ class System:
             f"System(space={self.space!r}, "
             f"operations=[{', '.join(self._operations)}])"
         )
+
+
+def tabulate(space: Space, operations: Sequence[Operation]) -> tuple[array, ...]:
+    """The successor table of every operation over ``space``.
+
+    An operation that can (:meth:`Operation.column_table`, e.g. a
+    :class:`~repro.lang.ops.StructuredOperation`) is evaluated once on
+    the space's value columns; any other runs once per state.  If any
+    operation fails — it maps a state outside the space, or raises —
+    the states are replayed one by one, operations in order, so the
+    error raised is the one for the first failing ``(state, operation)``
+    in enumeration order, with the :class:`OperationError` text a
+    state-by-state closure check gives.
+    """
+    index = space.index
+    lanes = Lanes(index, list(range(index.n)))
+    states: list[State] | None = None
+    tables: list[array] = []
+    try:
+        for op in operations:
+            table = op.column_table(lanes)
+            if table is None:
+                if states is None:
+                    states = list(space.states())
+                table = array("L", [index.id_of(op(state)) for state in states])
+            tables.append(table)
+    except Exception:
+        for state in space.states():
+            for op in operations:
+                result = op(state)
+                if result not in space:
+                    raise OperationError(
+                        f"operation {op.name!r} maps {state!r} to {result!r}, "
+                        "which lies outside the space"
+                    ) from None
+        raise
+    return tuple(tables)
 
 
 class Behavior:

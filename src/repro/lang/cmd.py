@@ -15,21 +15,40 @@ Commands execute *simultaneously reading, sequentially writing*: a ``Seq``
 applies its parts left to right, each seeing the writes of the previous —
 matching the paper's ``(beta <- alpha; alpha <- -alpha)`` oscillator where
 beta receives the *old* alpha.
+
+:meth:`Command.lanes` runs a command on a whole batch of states at once
+(a :class:`~repro.core.state.Lanes`): an ``If`` splits the batch by its
+guard and runs each branch only on the lanes that take it, so the batch
+comes back as disjoint sub-batches whose written columns are, lane by
+lane, what :meth:`Command.run` writes on that lane's state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.state import State
-from repro.lang.expr import Expr, coerce
+from repro.core.state import Lanes, State
+from repro.lang.expr import Expr, LanesUnsupported, coerce, partition
 
 
 class Command:
     """Base class for command ASTs."""
 
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines run without lanes must not inherit
+        # the column semantics of the class it extends.
+        if "run" in cls.__dict__ and "lanes" not in cls.__dict__:
+            cls.lanes = Command.lanes  # type: ignore[method-assign]
+
     def run(self, state: State) -> State:
         raise NotImplementedError
+
+    def lanes(self, lanes: Lanes) -> list[Lanes]:
+        """Run on every lane of ``lanes``: the result is disjoint
+        non-empty sub-batches covering the input lanes, each carrying
+        its lanes' written columns."""
+        raise LanesUnsupported(type(self).__name__)
 
     def writes(self) -> frozenset[str]:
         """Object names the command may write (over-approximation)."""
@@ -47,6 +66,9 @@ class Skip(Command):
 
     def run(self, state: State) -> State:
         return state
+
+    def lanes(self, lanes: Lanes) -> list[Lanes]:
+        return [lanes]
 
     def writes(self) -> frozenset[str]:
         return frozenset()
@@ -68,6 +90,9 @@ class Assign(Command):
     def run(self, state: State) -> State:
         return state.replace(**{self.target: self.expr.eval(state)})
 
+    def lanes(self, lanes: Lanes) -> list[Lanes]:
+        return [lanes.assign(self.target, self.expr.lanes(lanes))]
+
     def writes(self) -> frozenset[str]:
         return frozenset([self.target])
 
@@ -88,6 +113,12 @@ class Seq(Command):
         for part in self.parts:
             state = part.run(state)
         return state
+
+    def lanes(self, lanes: Lanes) -> list[Lanes]:
+        batches = [lanes]
+        for part in self.parts:
+            batches = [out for batch in batches for out in part.lanes(batch)]
+        return batches
 
     def writes(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -117,6 +148,16 @@ class If(Command):
         if self.guard.eval(state):
             return self.then_cmd.run(state)
         return self.else_cmd.run(state)
+
+    def lanes(self, lanes: Lanes) -> list[Lanes]:
+        taken, untaken = partition(self.guard.lanes(lanes))
+        if not untaken:
+            return self.then_cmd.lanes(lanes)
+        if not taken:
+            return self.else_cmd.lanes(lanes)
+        return self.then_cmd.lanes(lanes.take(taken)) + self.else_cmd.lanes(
+            lanes.take(untaken)
+        )
 
     def writes(self) -> frozenset[str]:
         return self.then_cmd.writes() | self.else_cmd.writes()

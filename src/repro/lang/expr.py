@@ -21,24 +21,56 @@ almost verbatim::
 Expressions are *inspectable*: :meth:`Expr.reads` returns the object names
 an expression mentions, which the syntactic baselines (Denning-style flow
 analysis, taint tracking) rely on.
+
+Every node also evaluates on a whole batch of states at once:
+:meth:`Expr.lanes` takes a :class:`~repro.core.state.Lanes` batch and
+returns one value per lane, applying the node's own callable element-wise
+(so big ints, ``//``, ``%``, bool/int mixing and non-integer domains keep
+Python's semantics), and :class:`IfExpr` evaluates each branch only on the
+lanes whose condition selects it.  Lane by lane the result equals
+:meth:`Expr.eval` on that lane's state:
+
+    >>> sp.state(alpha=3, beta=0) == sp.index.state(12)
+    True
+    >>> from repro.core.state import Lanes
+    >>> e.lanes(Lanes(sp.index, [0, 4, 8, 12]))
+    [1, 2, 3, 0]
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from repro.core.errors import EvaluationError
-from repro.core.state import State, Value
+from repro.core.state import Lanes, State, Value
+
+
+class LanesUnsupported(Exception):
+    """Raised by :meth:`Expr.lanes` / ``Command.lanes`` on a node class
+    that only evaluates state by state; its operation is then tabulated
+    per state instead."""
 
 
 class Expr:
     """Base class for expressions.  Subclasses implement :meth:`eval` and
-    :meth:`reads`."""
+    :meth:`reads`, and optionally :meth:`lanes`."""
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # A subclass that redefines eval without lanes must not inherit
+        # the column semantics of the class it extends.
+        if "eval" in cls.__dict__ and "lanes" not in cls.__dict__:
+            cls.lanes = Expr.lanes  # type: ignore[method-assign]
 
     def eval(self, state: State) -> Value:
         raise NotImplementedError
+
+    def lanes(self, lanes: Lanes) -> list[Value]:
+        """The value on every lane of ``lanes``, in lane order — lane by
+        lane equal to :meth:`eval` on that lane's state."""
+        raise LanesUnsupported(type(self).__name__)
 
     def reads(self) -> frozenset[str]:
         """Object names this expression may read."""
@@ -122,6 +154,12 @@ class Var(Expr):
         except KeyError:
             raise EvaluationError(f"unknown object {self.name!r}") from None
 
+    def lanes(self, lanes: Lanes) -> list[Value]:
+        try:
+            return lanes.column(self.name)
+        except KeyError:
+            raise EvaluationError(f"unknown object {self.name!r}") from None
+
     def reads(self) -> frozenset[str]:
         return frozenset([self.name])
 
@@ -137,6 +175,9 @@ class Const(Expr):
 
     def eval(self, state: State) -> Value:
         return self.value
+
+    def lanes(self, lanes: Lanes) -> list[Value]:
+        return [self.value] * len(lanes)
 
     def reads(self) -> frozenset[str]:
         return frozenset()
@@ -155,6 +196,12 @@ class BinOp(Expr):
     def eval(self, state: State) -> Value:
         try:
             return self.fn(self.left.eval(state), self.right.eval(state))
+        except (TypeError, ZeroDivisionError) as exc:
+            raise EvaluationError(f"{self!r}: {exc}") from exc
+
+    def lanes(self, lanes: Lanes) -> list[Value]:
+        try:
+            return list(map(self.fn, self.left.lanes(lanes), self.right.lanes(lanes)))
         except (TypeError, ZeroDivisionError) as exc:
             raise EvaluationError(f"{self!r}: {exc}") from exc
 
@@ -177,6 +224,12 @@ class UnaryOp(Expr):
         except TypeError as exc:
             raise EvaluationError(f"{self!r}: {exc}") from exc
 
+    def lanes(self, lanes: Lanes) -> list[Value]:
+        try:
+            return list(map(self.fn, self.operand.lanes(lanes)))
+        except TypeError as exc:
+            raise EvaluationError(f"{self!r}: {exc}") from exc
+
     def reads(self) -> frozenset[str]:
         return self.operand.reads()
 
@@ -195,6 +248,19 @@ class IfExpr(Expr):
     def eval(self, state: State) -> Value:
         branch = self.then_value if self.cond.eval(state) else self.else_value
         return branch.eval(state)
+
+    def lanes(self, lanes: Lanes) -> list[Value]:
+        taken, untaken = partition(self.cond.lanes(lanes))
+        if not untaken:
+            return self.then_value.lanes(lanes)
+        if not taken:
+            return self.else_value.lanes(lanes)
+        out: list[Value] = [None] * len(lanes)
+        for p, value in zip(taken, self.then_value.lanes(lanes.take(taken))):
+            out[p] = value
+        for p, value in zip(untaken, self.else_value.lanes(lanes.take(untaken))):
+            out[p] = value
+        return out
 
     def reads(self) -> frozenset[str]:
         # Conservative: both branches plus the condition (the condition is
@@ -221,6 +287,11 @@ class Apply(Expr):
     def eval(self, state: State) -> Value:
         return self.fn(*(arg.eval(state) for arg in self.args))
 
+    def lanes(self, lanes: Lanes) -> list[Value]:
+        if not self.args:
+            return [self.fn() for _ in range(len(lanes))]
+        return list(map(self.fn, *(arg.lanes(lanes) for arg in self.args)))
+
     def reads(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for arg in self.args:
@@ -229,6 +300,16 @@ class Apply(Expr):
 
     def __repr__(self) -> str:
         return f"{self.symbol}({', '.join(map(repr, self.args))})"
+
+
+def partition(flags: Iterable[object]) -> tuple[list[int], list[int]]:
+    """Lane positions whose flag is truthy, and the rest — each flag's
+    truth is taken once, as a per-state ``if`` takes it."""
+    taken: list[int] = []
+    untaken: list[int] = []
+    for p, flag in enumerate(flags):
+        (taken if flag else untaken).append(p)
+    return taken, untaken
 
 
 def var(name: str) -> Var:

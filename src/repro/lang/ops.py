@@ -4,7 +4,8 @@ A :class:`StructuredOperation` is an ordinary
 :class:`~repro.core.system.Operation` that additionally carries its
 :class:`~repro.lang.cmd.Command` body.  Semantic analyses (strong
 dependency) ignore the body; syntactic analyses (taint, flow extraction)
-interpret it.
+interpret it.  Tabulation runs the body on value columns
+(:meth:`StructuredOperation.column_table`) instead of once per state.
 
 The constructors here let the paper's operations transcribe directly::
 
@@ -14,9 +15,12 @@ The constructors here let the paper's operations transcribe directly::
 
 from __future__ import annotations
 
+from array import array
+
+from repro.core.state import Lanes
 from repro.core.system import Operation
 from repro.lang.cmd import Command, assign as _assign, seq, when
-from repro.lang.expr import coerce
+from repro.lang.expr import LanesUnsupported, coerce
 
 
 class StructuredOperation(Operation):
@@ -38,6 +42,21 @@ class StructuredOperation(Operation):
 
     def reads(self) -> frozenset[str]:
         return self.command.reads()
+
+    def column_table(self, lanes: Lanes) -> array | None:
+        """The successor table from one run of the body on ``lanes``
+        (the whole space), or ``None`` when a node of the body only
+        evaluates state by state."""
+        try:
+            batches = self.command.lanes(lanes)
+        except LanesUnsupported:
+            return None
+        table = list(range(len(lanes)))
+        for batch in batches:
+            if batch.written:
+                for i, j in zip(batch.ids, batch.successor_ids()):
+                    table[i] = j
+        return array("L", table)
 
 
 def op(name: str, command: Command, description: str = "") -> StructuredOperation:

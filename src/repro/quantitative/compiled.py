@@ -137,17 +137,17 @@ class CompiledDistribution:
         cls, compiled: CompiledSystem, dist: StateDistribution
     ) -> "CompiledDistribution":
         """Encode an object-path distribution (support states -> ids)."""
-        index = {state: i for i, state in enumerate(compiled.states)}
-        pairs = sorted((index[s], p) for s, p in dist.items())
+        id_of = compiled.system.space.index.id_of
+        pairs = sorted((id_of(s), p) for s, p in dist.items())
         ids = array("L", (i for i, _ in pairs))
         return cls(compiled, ids, [p for _, p in pairs])
 
     def to_state_distribution(self) -> StateDistribution:
         """Decode back to the object path (the fallback boundary)."""
-        states = self.compiled.states
+        state = self.compiled.state
         return StateDistribution(
             self.compiled.system.space,
-            {states[i]: w for i, w in zip(self.ids, self.weights)},
+            {state(i): w for i, w in zip(self.ids, self.weights)},
         )
 
     def push_forward(self, comp: Sequence[int]) -> "CompiledDistribution":

@@ -14,6 +14,16 @@ from repro.serve.app import ReproServer, ServeConfig
 PROGRAM = "gate := secret > limit;\nif gate then out := 1 else out := 0"
 VARS = {"secret": "0..3", "limit": "0,1", "gate": "bool", "out": "0,1"}
 
+#: A program whose cold ``secret -> out`` closure is 174,930 pairs over
+#: 3,430 states: tens of milliseconds of BFS on the bitset kernel and
+#: hundreds on the scalar loop, so a 1 ms deadline always trips at one
+#: of the budget checks the BFS makes (every 64 expansions under a serve
+#: quota, or every frontier chunk on the bitset kernel).
+SLOW_PROGRAM = (
+    "while go do { acc := (acc * 3 + secret) % 7; out := (out + acc) % 7 }"
+)
+SLOW_VARS = {"secret": "0..6", "acc": "0..6", "out": "0..6", "go": "bool"}
+
 
 async def rpc(
     port: int,
@@ -53,12 +63,14 @@ async def serving(**overrides):
             await server.drain()
 
 
-async def create_session(server, prewarm: bool = False) -> str:
+async def create_session(
+    server, prewarm: bool = False, program: str = PROGRAM, vars: dict = VARS
+) -> str:
     status, doc = await rpc(
         server.port,
         "POST",
         "/v1/sessions",
-        {"program": PROGRAM, "vars": VARS, "prewarm": prewarm},
+        {"program": program, "vars": vars, "prewarm": prewarm},
     )
     assert status == 200, doc
     return doc["session"]

@@ -15,7 +15,15 @@ from repro import obs
 from repro.cli import main as cli_main
 from repro.obs import metrics
 
-from tests.serve.helpers import PROGRAM, VARS, create_session, rpc, serving
+from tests.serve.helpers import (
+    PROGRAM,
+    SLOW_PROGRAM,
+    SLOW_VARS,
+    VARS,
+    create_session,
+    rpc,
+    serving,
+)
 
 _TRACE_RE = re.compile(r"^[0-9a-f]{16}$")
 
@@ -223,7 +231,10 @@ class TestFlightRecorder:
         async def body():
             obs.enable(reset=True)
             async with serving() as server:
-                key = await create_session(server)
+                # A cold closure far longer than the 1 ms deadline.
+                key = await create_session(
+                    server, program=SLOW_PROGRAM, vars=SLOW_VARS
+                )
                 status, headers, payload = await raw_rpc(
                     server.port, "POST", "/v1/query",
                     {"session": key, "source": "secret", "target": "out",

@@ -17,7 +17,15 @@ from repro.core import faults
 from repro.serve.admission import AdmissionController, RequestQuota, ShedError
 from repro.systems.program import build_program_system, program_transmits
 
-from tests.serve.helpers import PROGRAM, VARS, create_session, rpc, serving
+from tests.serve.helpers import (
+    PROGRAM,
+    SLOW_PROGRAM,
+    SLOW_VARS,
+    VARS,
+    create_session,
+    rpc,
+    serving,
+)
 
 
 def _cli_verdict(source: str, target: str) -> bool:
@@ -139,9 +147,12 @@ def test_queue_saturation_sheds_instead_of_queueing():
 def test_deadline_propagation_trips_to_unknown():
     async def body():
         async with serving() as server:
-            key = await create_session(server)
-            # A 1ms deadline cannot admit + compute a cold closure; the
-            # budget trips cooperatively and the answer is an honest 504.
+            key = await create_session(
+                server, program=SLOW_PROGRAM, vars=SLOW_VARS
+            )
+            # A 1ms deadline cannot admit + compute this program's cold
+            # closure (tens of ms of BFS); the budget trips cooperatively
+            # and the answer is an honest 504.
             status, doc = await rpc(
                 server.port, "POST", "/v1/query",
                 {"session": key, "source": "secret", "target": "out",
