@@ -65,7 +65,7 @@ from repro.core.budget import CHECK_INTERVAL, BudgetMeter
 from repro.core.cache import LRUCache
 from repro.core.constraints import Constraint
 from repro.core.state import State, Value
-from repro.core.system import System
+from repro.core.system import Operation, System, tabulate
 
 #: Packed-parent sentinel for Def 2-8 initial pairs (no predecessor).
 INITIAL = -1
@@ -368,17 +368,24 @@ class CompiledSystem:
 
     # -- fixed histories ------------------------------------------------------
 
-    def history_array(self, op_indices: Sequence[int]) -> array:
+    def history_array(self, steps: Sequence[int | Operation]) -> array:
         """The composed successor array of a fixed history.
 
-        For ``H = delta_1 ... delta_k`` (given as operation *indices* into
-        :attr:`CompiledKernel.successors`), returns ``comp`` with
+        For ``H = delta_1 ... delta_k``, returns ``comp`` with
         ``comp[i] = id(H(state_i))`` — one flat ``array('L')`` built by
         index-gather composition, so evaluating ``H`` over any subset of
-        the space is pure integer loads with zero lambda execution.  The
-        empty history is the identity permutation.
+        the space is pure integer loads.  The empty history is the
+        identity permutation.  Each step is an index into
+        :attr:`CompiledKernel.successors` (one of the system's own
+        operations) or any other :class:`~repro.core.system.Operation`
+        — an :meth:`~repro.core.system.Operation.then` composite, a
+        lambda, another system's operation — which is tabulated over
+        the space once by :func:`~repro.core.system.tabulate` and then
+        gathered like the rest.  An operation that leaves the space
+        raises the :class:`~repro.core.errors.OperationError` that
+        building a system from it would.
 
-        Memoized per op-index tuple *including every prefix built along
+        Memoized per step tuple *including every prefix built along
         the way*: ``H`` and ``H' = H ; delta`` share all of ``H``'s work,
         which is what makes sweeps over ``System.histories(max_length)``
         linear in the number of histories rather than their total length.
@@ -387,9 +394,11 @@ class CompiledSystem:
         eviction stays correct for prefix reuse because composition
         always restarts from the *longest prefix still cached* (the
         identity if everything was evicted) — an evicted prefix only
-        costs its gathers back, never a wrong array.
+        costs its gathers back, never a wrong array.  A key holds its
+        operations, so an operation's identity cannot be reused while
+        its entries are cached.
         """
-        key = tuple(op_indices)
+        key = tuple(steps)
         with self._lock:
             cached = self._composed.get(key)
             if cached is not None:
@@ -414,7 +423,17 @@ class CompiledSystem:
                 prefix = 0
         successors = self.kernel.successors
         for pos in range(prefix, len(key)):
-            succ = successors[key[pos]]
+            step = key[pos]
+            if isinstance(step, Operation):
+                # Its table is the composed array of the history (step,),
+                # so it is tabulated once while that entry is cached.
+                succ = self._composed.get((step,))
+                if succ is None:
+                    succ = self._composed.put(
+                        (step,), tabulate(self.system.space, (step,))[0]
+                    )
+            else:
+                succ = successors[step]
             base = array("L", (succ[i] for i in base))
             with self._lock:
                 base = self._composed.put(key[: pos + 1], base)

@@ -26,12 +26,13 @@ and every API returns a result object that explains itself.
 Complexity: the checker partitions the phi-states by their values *outside*
 A (two states are candidates iff they share that restriction, Def 1-1), so
 a history check costs ``O(|sat(phi)| * |H|)`` operation applications rather
-than a quadratic pair scan.  Since PR 3, :func:`transmits` and
-:func:`transmits_to_set` route through the shared engine's batched
-fixed-history path (composed successor arrays on the compiled kernel; one
-sweep answers all targets of ``(A, H, phi)``, memoized); the direct
-checkers survive as ``_seed_transmits`` / ``_seed_transmits_to_set`` —
-the executable specification and the fallback for foreign operations.
+than a quadratic pair scan.  :func:`transmits` and :func:`transmits_to_set`
+answer every history through the shared engine's batched fixed-history
+path (composed successor arrays on the compiled kernel, with operations
+the system does not own tabulated on demand; one sweep answers all
+targets of ``(A, H, phi)``, memoized).  The direct checkers survive as
+``_seed_transmits`` / ``_seed_transmits_to_set`` — the executable
+specification the engine is tested against; no library code calls them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 from repro.core.budget import ExecutionBudget
 from repro.core.constraints import Constraint
-from repro.core.errors import ConstraintError, ForeignOperationError
+from repro.core.errors import ConstraintError
 from repro.core.state import State, Value
 from repro.core.system import History, Operation, System
 from repro.obs.provenance import Provenance
@@ -170,11 +171,10 @@ def transmits(
     Routed through the shared :class:`~repro.core.engine.DependencyEngine`:
     one sweep of the composed successor array of H over the Def 1-1
     buckets of sat(phi) answers every target of ``(A, H, phi)`` at once,
-    and is memoized on the engine.  Histories containing operations the
-    system does not own (ad-hoc :meth:`Operation.then` composites) fall
-    back to the direct per-state evaluation — same verdicts, same
-    witnesses, just without the batching (:func:`_seed_transmits` is that
-    reference path).
+    and is memoized on the engine.  Operations the system does not own
+    (ad-hoc :meth:`Operation.then` composites, lambdas) are tabulated
+    once and composed like its own; :func:`_seed_transmits` is the
+    reference the verdicts and witnesses are tested against.
 
     >>> from repro.core.state import boolean_space
     >>> from repro.core.system import Operation, System
@@ -186,12 +186,9 @@ def transmits(
     """
     from repro.core.engine import shared_engine  # lazy: engine imports us
 
-    try:
-        return shared_engine(system).depends_history(
-            sources, target, history, constraint, budget
-        )
-    except ForeignOperationError:
-        return _seed_transmits(system, sources, target, history, constraint)
+    return shared_engine(system).depends_history(
+        sources, target, history, constraint, budget
+    )
 
 
 def _seed_transmits(
@@ -204,8 +201,8 @@ def _seed_transmits(
     """The direct Def 2-10 checker: re-executes H per state, per query.
 
     Kept as the executable specification the engine's batched
-    fixed-history path is property-tested against, and as the fallback
-    for histories built from foreign operation objects.
+    fixed-history path is property-tested against.  Unlike the engine it
+    does not check that H stays in the space.
     """
     if isinstance(history, Operation):
         history = History.of(history)
@@ -228,22 +225,9 @@ def _seed_transmits(
                     sigma2=state,
                 )
                 return DependencyResult(
-                    True,
-                    source_set,
-                    frozenset([target]),
-                    phi.name,
-                    witness,
-                    provenance=Provenance(
-                        kernel="seed-fallback", witness_length=len(history)
-                    ),
+                    True, source_set, frozenset([target]), phi.name, witness
                 )
-    return DependencyResult(
-        False,
-        source_set,
-        frozenset([target]),
-        phi.name,
-        provenance=Provenance(kernel="seed-fallback"),
-    )
+    return DependencyResult(False, source_set, frozenset([target]), phi.name)
 
 
 def transmits_to_set(
@@ -266,12 +250,9 @@ def transmits_to_set(
     """
     from repro.core.engine import shared_engine  # lazy: engine imports us
 
-    try:
-        return shared_engine(system).depends_history_set(
-            sources, targets, history, constraint, budget
-        )
-    except ForeignOperationError:
-        return _seed_transmits_to_set(system, sources, targets, history, constraint)
+    return shared_engine(system).depends_history_set(
+        sources, targets, history, constraint, budget
+    )
 
 
 def _seed_transmits_to_set(
@@ -309,22 +290,9 @@ def _seed_transmits_to_set(
                         sigma2=s2,
                     )
                     return DependencyResult(
-                        True,
-                        source_set,
-                        target_set,
-                        phi.name,
-                        witness,
-                        provenance=Provenance(
-                            kernel="seed-fallback", witness_length=len(history)
-                        ),
+                        True, source_set, target_set, phi.name, witness
                     )
-    return DependencyResult(
-        False,
-        source_set,
-        target_set,
-        phi.name,
-        provenance=Provenance(kernel="seed-fallback"),
-    )
+    return DependencyResult(False, source_set, target_set, phi.name)
 
 
 def no_transmission(

@@ -42,9 +42,9 @@ immutable by construction, so cache entries never invalidate.  Closures
 are keyed by ``(frozenset(A), constraint-object)`` — two *distinct*
 :class:`~repro.core.constraints.Constraint` instances with the same
 predicate occupy separate entries (``None`` always shares one entry).
-:func:`shared_engine` hands out one engine per system (weakly referenced),
-which is how the thin wrappers in :mod:`repro.core.reachability` share
-work across the whole library.
+:func:`shared_engine` hands out one engine per system, kept on the system
+so it dies with it, which is how the thin wrappers in
+:mod:`repro.core.reachability` share work across the whole library.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ import contextvars
 import os
 import threading
 import time
-import weakref
 from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 
@@ -78,7 +77,7 @@ from repro.core.compiled import (
 from repro.core.constraints import Constraint
 from repro.core.store import PersistentStore, sat_key
 from repro.core.dependency import DependencyResult, Witness
-from repro.core.errors import ConstraintError, ForeignOperationError
+from repro.core.errors import ConstraintError
 from repro.core.state import State
 from repro.core.system import History, Operation, System
 from repro.obs.provenance import Provenance
@@ -183,7 +182,8 @@ class DependencyEngine:
             op.name: k for k, op in enumerate(self._ops)
         }
         # Bounded LRU memos (see _LRUCache): keys are
-        # (A, op-indices, flow-key) and (A, op-indices, flow-key, B);
+        # (A, steps, flow-key) and (A, steps, flow-key, B), with steps as
+        # _history_indices resolves them;
         # values are target->pair tables and set-target pairs (or None).
         self._history_tables = _LRUCache(
             _HISTORY_TABLE_CAP, "engine.history_table.evictions"
@@ -683,29 +683,30 @@ class DependencyEngine:
 
     # -- fixed-history queries ------------------------------------------------
 
-    def _history_indices(self, history: History | Operation) -> tuple[int, ...]:
-        """Resolve a history to operation indices into the successor
-        arrays.  Operations are matched by *identity* (via their name), so
-        an ad-hoc composite such as ``op1.then(op2)`` — which is not one
-        of the system's operations even though its pieces are — raises
-        :class:`~repro.core.errors.ForeignOperationError` instead of
-        silently answering for a different operation of the same name."""
+    def _history_indices(
+        self, history: History | Operation
+    ) -> tuple[int | Operation, ...]:
+        """Resolve a history to the steps
+        :meth:`CompiledSystem.history_array` composes: each of the
+        system's own operations as its index into the successor arrays,
+        matched by *identity* (via its name), and any other operation —
+        an ad-hoc ``op1.then(op2)``, a lambda, a same-named operation of
+        another system — as itself, to be tabulated on demand rather
+        than answered for a different operation of the same name."""
         if isinstance(history, Operation):
             history = History.of(history)
         ops = self._ops
         position = self._op_position
-        indices: list[int] = []
+        steps: list[int | Operation] = []
         for op in history:
             k = position.get(op.name)
-            if k is None or ops[k] is not op:
-                raise ForeignOperationError(op.name)
-            indices.append(k)
-        return tuple(indices)
+            steps.append(k if k is not None and ops[k] is op else op)
+        return tuple(steps)
 
     def _history_table(
         self,
         source_set: frozenset[str],
-        indices: tuple[int, ...],
+        indices: tuple[int | Operation, ...],
         constraint: Constraint | None,
         budget: ExecutionBudget | None = None,
     ) -> Mapping[str, tuple[int, int]]:
@@ -719,7 +720,7 @@ class DependencyEngine:
         ``t`` after H, at least one of them differs from the bucket's
         first member at ``t`` — and scanning buckets/members in
         enumeration order makes the recorded pair *identical* to the
-        seed checker's.  Memoized per ``(A, op-indices, flow-key)``.
+        seed checker's.  Memoized per ``(A, steps, flow-key)``.
 
         Like the closures, a budget governs the sweep (checked once per
         bucket) and a trip memoizes nothing.
@@ -729,7 +730,7 @@ class DependencyEngine:
     def _history_table_info(
         self,
         source_set: frozenset[str],
-        indices: tuple[int, ...],
+        indices: tuple[int | Operation, ...],
         constraint: Constraint | None,
         budget: ExecutionBudget | None = None,
     ) -> tuple[Mapping[str, tuple[int, int]], bool]:
@@ -812,13 +813,13 @@ class DependencyEngine:
         finally:
             flight.release()
 
-    def history_indices(self, history: History | Operation) -> tuple[int, ...]:
-        """Resolve a history to indices into the compiled successor
-        arrays (public form of the internal resolver the fixed-history
-        provers use).  Raises
-        :class:`~repro.core.errors.ForeignOperationError` for operations
-        that are not the system's own — callers such as the compiled
-        quantitative layer catch it and fall back to the object path."""
+    def history_indices(
+        self, history: History | Operation
+    ) -> tuple[int | Operation, ...]:
+        """Resolve a history to the steps of
+        :meth:`CompiledSystem.history_array` (public form of the resolver
+        the fixed-history provers use; the compiled quantitative layer
+        composes its histories through it)."""
         return self._history_indices(history)
 
     def def11_buckets(
@@ -838,10 +839,12 @@ class DependencyEngine:
     def _compiled_history_table(
         self,
         source_set: frozenset[str],
-        indices: tuple[int, ...],
+        indices: tuple[int | Operation, ...],
         constraint: Constraint | None,
         meter: BudgetMeter | None = None,
     ) -> dict[str, tuple[int, int]]:
+        if meter is not None:
+            meter.check(0, 0)
         compiled = self.compiled_system()
         kernel = compiled.kernel
         comp = compiled.history_array(indices)
@@ -850,8 +853,6 @@ class DependencyEngine:
         n_names = len(names)
         first: dict[str, tuple[int, int]] = {}
         scanned = 0
-        if meter is not None:
-            meter.check(0, 0)
         for bucket in self._buckets(compiled.source_indices(source_set), constraint):
             if meter is not None:
                 meter.check(scanned, scanned)
@@ -888,12 +889,9 @@ class DependencyEngine:
         The first query for a given ``(A, H, phi)`` pays one sweep over
         the Def 1-1 buckets of sat(phi) against the composed successor
         array of H; every further target is a dict lookup.  Witnesses are
-        the same state pairs the seed checker returns.
-
-        Raises :class:`~repro.core.errors.ForeignOperationError` when the
-        history contains operations that are not the system's own (see
-        :func:`repro.core.dependency.transmits` for the falling-back
-        wrapper).
+        the same state pairs the seed checker returns.  Operations that
+        are not the system's own are tabulated on first use (see
+        :meth:`CompiledSystem.history_array`).
         """
         if isinstance(history, Operation):
             history = History.of(history)
@@ -947,7 +945,7 @@ class DependencyEngine:
         pair differs at all of B); only then does the quadratic in-bucket
         pair scan run, over composed finals — each state's final is
         evaluated once, not once per target.  Memoized per
-        ``(A, op-indices, flow-key, B)``.
+        ``(A, steps, flow-key, B)``.
         """
         if isinstance(history, Operation):
             history = History.of(history)
@@ -1018,7 +1016,7 @@ class DependencyEngine:
     def _compiled_history_set_pair(
         self,
         source_set: frozenset[str],
-        indices: tuple[int, ...],
+        indices: tuple[int | Operation, ...],
         target_list: list[str],
         constraint: Constraint | None,
     ) -> tuple[int, int] | None:
@@ -1326,23 +1324,21 @@ class DependencyEngine:
                                     add((x, y))
         return {name: frozenset(pairs) for name, pairs in flows.items()}
 
-_ENGINES: "weakref.WeakKeyDictionary[System, DependencyEngine]" = (
-    weakref.WeakKeyDictionary()
-)
-_ENGINES_LOCK = threading.Lock()
+_ENGINE_LOCK = threading.Lock()
 
 
 def shared_engine(system: System) -> DependencyEngine:
-    """The process-wide engine for ``system`` (one per live instance).
+    """The shared engine for ``system`` (one per live instance).
 
     Engines hold compiled tables and memoized closures; sharing one per
     system means e.g. an audit followed by a Worth computation pays for
-    each ``(A, phi)`` BFS once.  The table is weakly keyed, so engines
-    are reclaimed with their systems.
+    each ``(A, phi)`` BFS once.  The engine is kept on the system itself,
+    so the two form one reference cycle and are reclaimed together.
     """
-    with _ENGINES_LOCK:
-        engine = _ENGINES.get(system)
-        if engine is None:
-            engine = DependencyEngine(system)
-            _ENGINES[system] = engine
-        return engine
+    engine = system._engine
+    if engine is None:
+        with _ENGINE_LOCK:
+            engine = system._engine
+            if engine is None:
+                engine = system._engine = DependencyEngine(system)
+    return engine

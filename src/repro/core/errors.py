@@ -46,21 +46,6 @@ class OperationError(ReproError):
     """An operation misbehaved (e.g. produced a state outside the space)."""
 
 
-class ForeignOperationError(OperationError):
-    """A history refers to an operation object that is not one of the
-    system's own operations (e.g. an ad-hoc :meth:`Operation.then`
-    composite).  The batched fixed-history engine raises this so callers
-    can fall back to the direct per-state evaluation."""
-
-    def __init__(self, op_name: str) -> None:
-        self.op_name = op_name
-        super().__init__(
-            f"operation {op_name!r} is not an operation of the system "
-            "(fixed-history compilation needs the system's own operation "
-            "objects)"
-        )
-
-
 class ConstraintError(ReproError):
     """A constraint was used with an incompatible space or is unsatisfiable
     where satisfiability was required."""

@@ -173,9 +173,9 @@ class System:
     ['swap']
     """
 
-    # __weakref__ lets repro.core.engine.shared_engine key its process-wide
-    # engine table weakly by system, so engines die with their systems.
-    __slots__ = ("space", "_operations", "_tables", "__weakref__")
+    # _engine caches repro.core.engine.shared_engine(self); the engine
+    # refers back to the system, so the two are reclaimed together.
+    __slots__ = ("space", "_operations", "_tables", "_engine", "__weakref__")
 
     def __init__(
         self,
@@ -191,6 +191,7 @@ class System:
             ops[op.name] = op
         self._operations = ops
         self._tables: tuple[array, ...] | None = None
+        self._engine = None
         if check_closed:
             self.successor_tables()
 

@@ -4,10 +4,9 @@
 *auditable*: a non-flow verdict is only as trustworthy as the mechanism
 that established it.  This module gives every public engine answer a
 small, always-on record of that mechanism — which kernel path ran
-(compiled integer BFS, bulk bitset BFS, or the seed per-state fallback
-for foreign operations), whether the answer came from a memoized closure
-or a fresh search, how execution was governed, and how long the witness
-is when one exists.
+(compiled integer BFS or sweep, or bulk bitset BFS), whether the answer
+came from a memoized closure or a fresh search, how execution was
+governed, and how long the witness is when one exists.
 
 Provenance is attached unconditionally (it is a single frozen dataclass
 allocation, far below the cost of even a memo hit) and **never**
@@ -26,7 +25,6 @@ KERNEL_PATHS = (
     "compiled",         # integer kernel: canonical unordered pairs / arrays
     "compiled-bitset",  # bulk frontier kernel: bitset visited set, whole-
                         # frontier expansion (witness-identical to compiled)
-    "seed-fallback",  # direct per-state Def 2-10 checker (foreign operations)
     "one-step",       # budget-degraded audit cell: length-1 witness only
     "unknown",        # budget exhausted, nothing established
 )

@@ -535,7 +535,6 @@ COUNTER_NAMES = (
     "quant.states_scanned",
     "quant.buckets_scanned",
     "quant.ba_iterations",
-    "quant.fallback_object",
     "engine.buckets.evictions",
     "serve.requests",
     "serve.shed",

@@ -23,12 +23,13 @@ exact arithmetic on the compiled integer kernel (PR 2/3):
   one composed table across every (source, target) pair.
 
 Every measure is *exact* (``Fraction`` tables, floats only inside
-``log2`` — the same boundary the object path draws), falls back to the
-object path on :class:`~repro.core.errors.ForeignOperationError` (ad-hoc
-composite operations the kernel has no successor column for), honours
+``log2`` — the same boundary the object path draws), takes any history
+(operations the system does not own, such as ad-hoc composites, are
+tabulated on demand by :meth:`CompiledSystem.history_array`), honours
 :class:`~repro.core.budget.ExecutionBudget` metering (a trip raises with
 a ``PartialResult`` — bits are UNKNOWN, never a wrong number), and emits
-``quant.*`` telemetry.
+``quant.*`` telemetry.  The object path stays as the public object API
+and the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ from repro.core.budget import BudgetMeter, ExecutionBudget
 from repro.core.compiled import CompiledSystem
 from repro.core.constraints import Constraint
 from repro.core.engine import DependencyEngine, shared_engine
-from repro.core.errors import DistributionError, ForeignOperationError
+from repro.core.errors import DistributionError
 from repro.core.state import Value
 from repro.core.system import History, Operation, System
-from repro.quantitative import bandwidth as _bandwidth
-from repro.quantitative import channel as _channel
 from repro.quantitative.bandwidth import blahut_arimoto
 from repro.quantitative.distributions import StateDistribution
 from repro.quantitative.entropy import entropy, mutual_information
@@ -143,7 +142,7 @@ class CompiledDistribution:
         return cls(compiled, ids, [p for _, p in pairs])
 
     def to_state_distribution(self) -> StateDistribution:
-        """Decode back to the object path (the fallback boundary)."""
+        """Decode back to an object-path :class:`StateDistribution`."""
         state = self.compiled.state
         return StateDistribution(
             self.compiled.system.space,
@@ -168,10 +167,10 @@ class QuantEngine:
 
     Binds to a :class:`~repro.core.engine.DependencyEngine` (the
     process-shared one by default) so composed successor arrays and
-    Def 1-1 buckets are shared with the qualitative provers.  Histories containing operations that are not
-    the system's own fall back to the object path (counted as
-    ``quant.fallback_object``), so every method accepts exactly what the
-    object functions accept.
+    Def 1-1 buckets are shared with the qualitative provers.  Every
+    method accepts exactly what the object functions accept: histories
+    of operations that are not the system's own are composed on the
+    kernel too.
     """
 
     def __init__(
@@ -204,33 +203,13 @@ class QuantEngine:
             self.engine.compiled_system(), dist
         )
 
-    @staticmethod
-    def _as_object(dist) -> StateDistribution:
-        if isinstance(dist, CompiledDistribution):
-            return dist.to_state_distribution()
-        return dist
-
     def push_forward(
         self, dist, history: History | Operation
     ) -> CompiledDistribution:
-        """``[H]pr`` as one index-gather (falls back to per-state replay
-        only for foreign operations)."""
-        try:
-            indices = self.engine.history_indices(history)
-        except ForeignOperationError:
-            obs.count("quant.fallback_object")
-            pushed = self._as_object(dist).push_forward(
-                self._coerce_history(history)
-            )
-            return self._as_compiled(pushed)
+        """``[H]pr`` as one index-gather."""
+        indices = self.engine.history_indices(history)
         comp = self.engine.compiled_system().history_array(indices)
         return self._as_compiled(dist).push_forward(comp)
-
-    @staticmethod
-    def _coerce_history(history: History | Operation) -> History:
-        if isinstance(history, Operation):
-            return History.of(history)
-        return history
 
     def _meter(
         self, budget: ExecutionBudget | None, label: str
@@ -331,16 +310,7 @@ class QuantEngine:
     ) -> float:
         """The equivocation measure ``I(A_initial ; target_final)``."""
         source_names = sorted(frozenset(sources))
-        try:
-            indices = self.engine.history_indices(history)
-        except ForeignOperationError:
-            obs.count("quant.fallback_object")
-            return _channel.bits_transmitted(
-                self._as_object(dist),
-                source_names,
-                target,
-                self._coerce_history(history),
-            )
+        indices = self.engine.history_indices(history)
         cdist = self._as_compiled(dist)
         with obs.span(
             "quant.measure",
@@ -420,16 +390,7 @@ class QuantEngine:
         in one bucket-grouped pass: each Def 1-1 bucket *is* one z-slice,
         contributing its bucket-mass-weighted per-slice MI."""
         source_names = sorted(frozenset(sources))
-        try:
-            indices = self.engine.history_indices(history)
-        except ForeignOperationError:
-            obs.count("quant.fallback_object")
-            return _channel.bits_transmitted_averaged(
-                self._as_object(dist),
-                source_names,
-                target,
-                self._coerce_history(history),
-            )
+        indices = self.engine.history_indices(history)
         cdist = self._as_compiled(dist)
         rest = frozenset(cdist.space_names) - frozenset(source_names)
         if not rest:
@@ -527,15 +488,7 @@ class QuantEngine:
         pair, sharing ONE composed table and one support sweep per
         source across all targets — the batched analogue of the nested
         object loop."""
-        try:
-            indices = self.engine.history_indices(history)
-        except ForeignOperationError:
-            obs.count("quant.fallback_object")
-            return _channel.capacity_table(
-                self._as_object(dist),
-                self._coerce_history(history),
-                targets,
-            )
+        indices = self.engine.history_indices(history)
         cdist = self._as_compiled(dist)
         compiled = self.engine.compiled_system()
         names = compiled.kernel.names
@@ -614,16 +567,7 @@ class QuantEngine:
         the object path.
         """
         source_names = sorted(frozenset(sources))
-        try:
-            indices = self.engine.history_indices(history)
-        except ForeignOperationError:
-            obs.count("quant.fallback_object")
-            return _bandwidth.channel_matrix(
-                self._as_object(rest_distribution),
-                source_names,
-                target,
-                self._coerce_history(history),
-            )
+        indices = self.engine.history_indices(history)
         cdist = self._as_compiled(rest_distribution)
         compiled = self.engine.compiled_system()
         kernel = compiled.kernel

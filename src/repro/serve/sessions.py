@@ -17,9 +17,11 @@ contract the SIGTERM drain honors.
 
 Thread-safety: sessions are created inside executor threads while the
 event loop reads stats; all registry state is lock-protected.  The
-registry keeps strong references to the systems it serves — the engine
-table in :mod:`repro.core.engine` is weakly keyed, so the registry is
-what keeps a session's engine alive.
+registry keeps strong references to the systems it serves — each
+system holds its own shared engine
+(:func:`~repro.core.engine.shared_engine`), so the registry is what
+keeps a session's engine alive, and an evicted session's system and
+engine are reclaimed together.
 """
 
 from __future__ import annotations

@@ -144,26 +144,22 @@ def observed_transmits(
     observed = getattr(observer, "final_value_names", None)
     if observed is not None:
         from repro.core.engine import shared_engine  # lazy: avoid cycles
-        from repro.core.errors import ForeignOperationError
 
-        try:
-            engine = shared_engine(system)
-            for target in observed:
-                result = engine.depends_history(
-                    source_set, target, history, constraint
+        engine = shared_engine(system)
+        for target in observed:
+            result = engine.depends_history(
+                source_set, target, history, constraint
+            )
+            if result:
+                w = result.witness
+                return ObservedWitness(
+                    w.sigma1,
+                    w.sigma2,
+                    history,
+                    observer(w.sigma1, history),
+                    observer(w.sigma2, history),
                 )
-                if result:
-                    w = result.witness
-                    return ObservedWitness(
-                        w.sigma1,
-                        w.sigma2,
-                        history,
-                        observer(w.sigma1, history),
-                        observer(w.sigma2, history),
-                    )
-            return None
-        except ForeignOperationError:
-            pass  # composite operations: fall back to the direct scan
+        return None
     phi = constraint if constraint is not None else Constraint.true(system.space)
     buckets: dict[tuple[Value, ...], list[State]] = {}
     for state in phi.states():

@@ -82,6 +82,25 @@ class TestEncoding:
         compiled = CompiledSystem(mixed)
         assert compiled.source_indices({"c", "a"}) == (0, 2)
 
+    def test_operation_steps_compose_like_indices(self, mixed):
+        """A history step given as an Operation object — here a
+        same-named twin of ``bump`` — composes to the arrays its index
+        would, and is tabulated over the space once for all histories
+        that use it."""
+        compiled = CompiledSystem(mixed)
+        bump = mixed.operation("bump")
+        calls = []
+        twin = Operation("bump", lambda s: calls.append(s) or bump(s))
+        for own, foreign in [
+            ((0,), (twin,)),
+            ((1, 0), (1, twin)),
+            ((0, 1, 0), (twin, 1, twin)),
+        ]:
+            assert list(compiled.history_array(foreign)) == list(
+                compiled.history_array(own)
+            )
+        assert len(calls) == mixed.space.size
+
 
 class TestConstraints:
     def test_sat_ids_match_satisfying_set(self, mixed):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.explorer import dependency_matrix
@@ -12,6 +15,7 @@ from repro.core.state import boolean_space
 from repro.core.system import Operation, System
 from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
+from repro.systems.program import build_program_system, program_transmits
 
 
 @pytest.fixture
@@ -107,3 +111,20 @@ class TestSharedEngine:
         b2 = SystemBuilder().booleans("a", "b")
         b2.op_assign("copy", "b", var("a"))
         assert shared_engine(b1.build()) is not shared_engine(b2.build())
+
+    def test_engines_die_with_their_systems(self):
+        """A system and its shared engine hold each other, so once a
+        program system is dropped the pair is one unreachable cycle and
+        gc reclaims both."""
+        refs = []
+        for k in range(20):
+            ps = build_program_system(
+                "if secret > limit then out := 1 else out := 0",
+                {"secret": range(k % 4 + 2), "limit": (0, 1), "out": (0, 1)},
+            )
+            assert program_transmits(ps, {"secret"}, "out")
+            refs.append(weakref.ref(ps.system))
+            refs.append(weakref.ref(shared_engine(ps.system)))
+            del ps
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []

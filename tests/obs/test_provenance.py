@@ -50,7 +50,7 @@ class TestProvenanceRecord:
         assert Provenance(kernel="compiled", memo="hit").short() == "compiled/hit"
 
     def test_vocabularies(self):
-        assert "compiled" in KERNEL_PATHS and "seed-fallback" in KERNEL_PATHS
+        assert KERNEL_PATHS == ("compiled", "compiled-bitset", "one-step", "unknown")
         assert MEMO_OUTCOMES == ("hit", "fresh", "n/a")
         assert "exhausted" in BUDGET_STATES
 
@@ -116,28 +116,31 @@ class TestEngineProvenance:
 
 
 class TestSeedFallbackProvenance:
+    """Histories of foreign operations run on the compiled kernel and
+    say so."""
+
     def test_foreign_history_positive(self, relay):
         d1 = relay.operation("d1")
         d2 = relay.operation("d2")
-        composite = d1.then(d2)  # not owned by the system: seed path
+        composite = d1.then(d2)  # not owned by the system: tabulated
         result = transmits(relay, {"a"}, "bb", composite)
         assert result
         p = result.provenance
-        assert p.kernel == "seed-fallback" and p.witness_length == 1
+        assert p.kernel == "compiled" and p.witness_length == 1
 
     def test_foreign_history_negative(self, relay):
         d1 = relay.operation("d1")
         d2 = relay.operation("d2")
         result = transmits(relay, {"bb"}, "a", d1.then(d2))
         assert not result
-        assert result.provenance.kernel == "seed-fallback"
+        assert result.provenance.kernel == "compiled"
         assert result.provenance.witness_length is None
 
     def test_foreign_history_set_target(self, relay):
         d1 = relay.operation("d1")
         d2 = relay.operation("d2")
         result = transmits_to_set(relay, {"a"}, {"bb"}, d1.then(d2))
-        assert result.provenance.kernel == "seed-fallback"
+        assert result.provenance.kernel == "compiled"
 
 
 class TestAuditProvenance:

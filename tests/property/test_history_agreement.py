@@ -15,9 +15,12 @@ histories these tests assert, across constraint flavours:
   checker's (both scan the same buckets in enumeration order and
   compare to the bucket's first member), and every witness replays;
 - the public :func:`transmits` / :func:`transmits_to_set` wrappers route
-  through the shared engine without observable change, and fall back to
-  the seed path for histories built from foreign operation objects
-  (``Operation.then`` composites);
+  through the shared engine without observable change;
+- histories with operations the system does not own — ``Operation.then``
+  composites, lambdas, same-named operations of another system — are
+  tabulated on demand and answered by the engine with the seed's
+  verdicts and witness pairs, and an operation that leaves the space
+  raises the :class:`OperationError` building a system from it raises;
 - the step-flow memo is keyed by the *resolved* constraint: ``None`` and
   any trivially-true instance share one entry.
 """
@@ -38,8 +41,8 @@ from repro.core.dependency import (
     transmits_to_set,
 )
 from repro.core.engine import DependencyEngine, shared_engine
-from repro.core.errors import ForeignOperationError
-from repro.core.system import History, System
+from repro.core.errors import OperationError
+from repro.core.system import History, Operation, System
 
 FLAVOURS = [None, "subset", "autonomous", "coupled"]
 
@@ -178,21 +181,110 @@ def test_memoized_requery_is_stable(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_foreign_operations_fall_back_to_seed(seed):
     """Histories of ad-hoc composites (Operation.then) are not the
-    system's own operations: the engine refuses them and the public
-    wrapper falls back to the direct checker, verdict unchanged."""
+    system's own operations: the engine tabulates the composite and
+    answers itself, with the seed checker's verdict and witness pair."""
     system, phi, rng = _random_case(seed)
     ops = system.operations
     composite = ops[0].then(ops[-1])
     engine = DependencyEngine(system)
     names = list(system.space.names)
     source, target = rng.choice(names), rng.choice(names)
-    with pytest.raises(ForeignOperationError):
-        engine.depends_history({source}, target, composite, phi)
+    answered = engine.depends_history({source}, target, composite, phi)
     routed = transmits(system, {source}, target, composite, phi)
     seed_result = _seed_transmits(system, {source}, target, composite, phi)
-    assert bool(routed) == bool(seed_result)
-    if routed:
+    assert bool(answered) == bool(routed) == bool(seed_result)
+    assert answered.provenance.kernel == "compiled"
+    if seed_result:
+        _assert_same_witness(answered, seed_result)
         _assert_same_witness(routed, seed_result)
+
+
+def _foreign_history(system: System, rng: random.Random) -> History:
+    """A random history mixing the system's own operations with two
+    foreign ones: an out-of-system lambda, and an operation of the same
+    name taken from another random system over an equal space (so
+    resolving by name alone would answer for the wrong operation)."""
+    names = list(system.space.names)
+    size = len(system.space.domain(names[0]))
+    t, u = rng.choice(names), rng.choice(names)
+    lam = Operation("lam", lambda s: s.replace(**{t: (s[t] + s[u]) % size}))
+    other = random_system(
+        rng,
+        n_objects=len(names),
+        domain_size=size,
+        n_operations=len(system.operations),
+    )
+    namesake = rng.choice(other.operations)
+    assert namesake.name in system.operation_names
+    pool = list(system.operations) + [lam, namesake]
+    steps = [lam, namesake] + [
+        rng.choice(pool) for _ in range(rng.randint(0, 3))
+    ]
+    rng.shuffle(steps)
+    return History(steps)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_foreign_histories_match_seed(seed):
+    """Lambdas and other systems' namesake operations compose on the
+    kernel: every route — the engine's single- and set-target sweeps and
+    the public wrappers — returns the seed checker's verdict and witness
+    pair."""
+    system, phi, rng = _random_case(seed)
+    engine = DependencyEngine(system)
+    names = list(system.space.names)
+    for _ in range(2):
+        history = _foreign_history(system, rng)
+        for source in names:
+            for target in names:
+                seed_result = _seed_transmits(
+                    system, {source}, target, history, phi
+                )
+                for result in (
+                    engine.depends_history({source}, target, history, phi),
+                    transmits(system, {source}, target, history, phi),
+                ):
+                    assert bool(result) == bool(seed_result), (
+                        f"verdict mismatch for {source} |>^{history!r} "
+                        f"{target} under {phi.name if phi else 'tt'}"
+                    )
+                    if result:
+                        _assert_witness_replays(result, phi)
+                        _assert_same_witness(result, seed_result)
+        sources = frozenset(rng.sample(names, rng.randint(1, len(names))))
+        targets = frozenset(rng.sample(names, rng.randint(1, len(names))))
+        seed_set = _seed_transmits_to_set(system, sources, targets, history, phi)
+        for result in (
+            engine.depends_history_set(sources, targets, history, phi),
+            transmits_to_set(system, sources, targets, history, phi),
+        ):
+            assert bool(result) == bool(seed_set)
+            if result:
+                _assert_witness_replays(result, phi)
+                _assert_same_witness(result, seed_set)
+
+
+def test_operation_leaving_the_space_raises_like_system():
+    """Def 1-2 operations are total on the space: a foreign operation
+    that maps a state outside it raises the OperationError that
+    building a system from it raises — the seed checker, which never
+    checks domains, would answer instead."""
+    rng = random.Random(3)
+    system = random_system(rng, n_objects=2, domain_size=2, n_operations=1)
+    x = system.space.names[0]
+    leak = Operation("leak", lambda s: s.replace(**{x: s[x] + 1}))
+    with pytest.raises(OperationError) as built:
+        System(system.space, [leak])
+    history = History.of(system.operations[0], leak)
+    for query in (
+        lambda: DependencyEngine(system).depends_history({x}, x, history),
+        lambda: DependencyEngine(system).depends_history_set({x}, {x}, history),
+        lambda: transmits(system, {x}, x, history),
+        lambda: transmits_to_set(system, {x}, {x}, history),
+    ):
+        with pytest.raises(OperationError) as raised:
+            query()
+        assert str(raised.value) == str(built.value)
 
 
 def test_step_flow_memo_keyed_by_resolved_constraint():

@@ -19,8 +19,9 @@ tests assert:
   positivity, query for query;
 - the channel layer (matrix cells and Blahut-Arimoto capacity) agrees
   with the object path with NumPy both enabled and forced off;
-- histories containing foreign (ad-hoc composite) operations fall back
-  to the object path and still return the object path's numbers.
+- histories containing foreign (ad-hoc composite) operations are
+  composed on the kernel and return the object path's numbers in all
+  five measures that take a history.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.quantitative import (
     StateDistribution,
     bits_transmitted,
     bits_transmitted_averaged,
+    capacity_table,
     equivocation,
     source_entropy,
 )
@@ -66,6 +68,15 @@ def _random_case(seed: int):
         else None
     )
     return system, phi, rng
+
+
+def _cells(inputs, outputs, matrix):
+    """A channel matrix as ``{(input, output): probability}``."""
+    return {
+        (a, b): matrix[x][y]
+        for x, a in enumerate(inputs)
+        for y, b in enumerate(outputs)
+    }
 
 
 def _uniform_pair(system, phi):
@@ -138,10 +149,7 @@ def test_channel_layer_agreement_both_kernels(seed, numpy_env, monkeypatch):
     ci, co, cm = quant.channel_matrix(cdist, sources, target, history)
     oi, oo, om = object_channel_matrix(dist, sources, target, history)
     assert ci == oi
-    cells = lambda I, O, M: {
-        (a, b): M[x][y] for x, a in enumerate(I) for y, b in enumerate(O)
-    }
-    assert cells(ci, co, cm) == cells(oi, oo, om)
+    assert _cells(ci, co, cm) == _cells(oi, oo, om)
     assert quant.capacity(cdist, sources, target, history) == pytest.approx(
         object_capacity(dist, sources, target, history), abs=1e-6
     )
@@ -161,10 +169,20 @@ def test_foreign_history_falls_back_to_object_numbers(seed):
     history = History.of(composite)
     sources = set(rng.sample(names, rng.randint(1, len(names))))
     target = rng.choice(names)
+    pushed = quant.push_forward(cdist, history).to_state_distribution()
+    assert dict(pushed.items()) == dict(dist.push_forward(history).items())
     assert quant.bits_transmitted(cdist, sources, target, history) == \
         bits_transmitted(dist, sources, target, history)
     assert quant.bits_transmitted_averaged(
         cdist, sources, target, history
     ) == pytest.approx(
         bits_transmitted_averaged(dist, sources, target, history), abs=1e-12
+    )
+    assert quant.capacity_table(cdist, history) == capacity_table(dist, history)
+    ci, co, cm = quant.channel_matrix(cdist, sources, target, history)
+    oi, oo, om = object_channel_matrix(dist, sources, target, history)
+    assert ci == oi
+    assert _cells(ci, co, cm) == _cells(oi, oo, om)
+    assert quant.capacity(cdist, sources, target, history) == pytest.approx(
+        object_capacity(dist, sources, target, history), abs=1e-6
     )

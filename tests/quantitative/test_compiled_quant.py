@@ -1,7 +1,7 @@
 """Unit tests for the compiled quantitative substrate
 (:mod:`repro.quantitative.compiled`): distribution round-trips, exact
 parity with the object channel path, the batched channel layer, and
-the foreign-operation fallback."""
+histories of foreign operations composed on the kernel."""
 
 from __future__ import annotations
 
@@ -199,6 +199,9 @@ class TestChannelLayer:
 
 class TestForeignOperationFallback:
     def test_composite_falls_back_to_object_path(self, modsum, quant, uniform_obj):
+        """A composite runs the compiled sweep — one gather composes it
+        and the whole support is scanned — and returns the object
+        path's number."""
         system, _ = modsum
         d = system.operation("d")
         composite = d.then(d)  # not one of the system's operations
@@ -211,4 +214,5 @@ class TestForeignOperationFallback:
             obs.disable()
             obs.reset()
         assert got == bits_transmitted(uniform_obj, {"a1"}, "beta", h)
-        assert counters.get("quant.fallback_object", 0) >= 1
+        assert counters.get("kernel.history_compose.gathers", 0) == 1
+        assert counters.get("quant.states_scanned", 0) == system.space.size

@@ -1,10 +1,13 @@
 """Unit tests for observers and mechanisms (section 7.3)."""
 
+import random
+
 import pytest
 
+from repro.analysis.random_systems import random_system
 from repro.core.constraints import Constraint
 from repro.core.dependency import transmits
-from repro.core.system import History
+from repro.core.system import History, Operation
 from repro.lang.builders import SystemBuilder
 from repro.lang.expr import var
 from repro.systems.mechanism import (
@@ -49,6 +52,33 @@ class TestObservers:
                 observed_transmits(copy_system, {"a"}, obs, h) is not None
             )
             assert direct == observed, h
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_foreign_history_observer_matches_generic_scan(self, seed):
+        """Over a history with foreign operations (a composite and a
+        lambda), a history observer decided on the engine's tables gives
+        the verdict and witness pair of the generic scan, which runs the
+        same observer without its ``final_value_names``."""
+        rng = random.Random(seed)
+        system = random_system(rng, n_objects=3, domain_size=2, n_operations=2)
+        ops = system.operations
+        names = list(system.space.names)
+        t = rng.choice(names)
+        flip = Operation("flip", lambda s: s.replace(**{t: 1 - s[t]}))
+        history = History.of(ops[0].then(ops[-1]), flip, rng.choice(ops))
+        for target in names:
+            observer = history_observer(target)
+
+            def scanned(state, h, observer=observer):
+                return observer(state, h)
+
+            for source in names:
+                fast = observed_transmits(system, {source}, observer, history)
+                slow = observed_transmits(system, {source}, scanned, history)
+                assert (fast is None) == (slow is None), (source, target)
+                if fast is not None:
+                    assert (fast.sigma1, fast.sigma2) == (slow.sigma1, slow.sigma2)
+                    assert fast.observation1 != fast.observation2
 
     def test_trace_observer_strictly_stronger(self):
         """An overwrite hides a's value from the final-value observer but
